@@ -1,7 +1,7 @@
 """Numerical verification of structure preservation along flows.
 
-Finite-difference Lie derivatives of the phase-space metric and the
-symplectic form classify a flow as Hamiltonian, Killing, both, or neither;
+Closed-form Lie derivatives of the phase-space metric and the symplectic
+form classify a flow as Hamiltonian, Killing, both, or neither;
 the midpoint integrator is checked for second-order convergence against the
 unitary propagator; and the ray metric is cross-checked against the
 arccos-overlap distance and swept over metric-coefficient families.
@@ -19,12 +19,14 @@ from .flows import (
     PhasePoint,
     _eval_complex,
     _field_arrays,
+    _field_jacobian,
     check_normalization_generator,
     integrate_midpoint,
 )
 from .geometry import (
     CANONICAL_PARAMS,
     MetricParams,
+    _metric_blocks_derivative,
     as_vector,
     induced_metric_ts,
     phase_space_metric,
@@ -39,7 +41,7 @@ from .hilbert import (
     to_complex,
 )
 
-#: Residual ceilings for structure preservation, at fd_step = 1e-4.
+#: Residual ceilings for structure preservation.
 METRIC_TOL = 1e-6
 SYMPLECTIC_TOL = 1e-8
 NORMALIZATION_TOL = 1e-12
@@ -130,8 +132,8 @@ def sample_interior_points(
     """Seeded interior sample points: the barycenter plus ``count`` draws.
 
     Each rho mixes a flat Dirichlet draw with the barycenter so every entry
-    stays at least margin/n from the boundary; finite-difference probes need
-    that room.  Momenta are uniform on [0, 2 pi).
+    stays at least margin/n from the boundary, where the 1/rho tensor
+    entries stay bounded.  Momenta are uniform on [0, 2 pi).
     """
     if rng is None:
         rng = np.random.default_rng(seed)
@@ -151,20 +153,17 @@ def random_hermitian(n: int, rng: np.random.Generator, scale: float = 1.0) -> np
     return scale * 0.5 * (a + a.conj().T)
 
 
-def _check_fd_step(fd_step: float) -> None:
-    if not (1e-6 <= fd_step <= 1e-3):
-        raise ValueError(f"fd_step must lie in [1e-6, 1e-3], got {fd_step:g}")
-
-
 def lie_derivative(field_fn, tensor_fn, x, fd_step: float = 1e-4, *, richardson: bool = True) -> np.ndarray:
-    """Lie derivative of a covariant 2-tensor along a vector field.
+    """Lie derivative of a covariant 2-tensor along a vector field, by finite differences.
 
     (L_V T)_ab = V^c d_c T_ab + T_cb d_a V^c + T_ac d_b V^c, with every
     derivative taken by central differences.  With ``richardson`` the h and
-    h/2 evaluations are combined to cancel the quadratic truncation term,
-    which keeps the residual far below the stated tolerances even where the
-    tensor entries grow like 1/rho.
+    h/2 evaluations are combined to cancel the quadratic truncation term.
+    Costs 4 (2n) tensor and field evaluations and a dense (2n)^3 array, so it
+    serves as the reference oracle for the closed forms below at small n.
     """
+    if not (1e-6 <= fd_step <= 1e-3):
+        raise ValueError(f"fd_step must lie in [1e-6, 1e-3], got {fd_step:g}")
     x = np.asarray(x, dtype=float)
 
     def single(h: float) -> np.ndarray:
@@ -185,61 +184,46 @@ def lie_derivative(field_fn, tensor_fn, x, fd_step: float = 1e-4, *, richardson:
     return single(fd_step)
 
 
-def _spec_field_fn(spec: HamiltonianSpec, n: int):
-    def field(x: np.ndarray) -> np.ndarray:
-        fr, fp = _field_arrays(spec, x[:n], x[n:])
-        return np.concatenate([fr, fp])
-
-    return field
-
-
 def lie_derivative_metric(
     spec: HamiltonianSpec,
     X: PhasePoint,
-    fd_step: float = 1e-4,
     *,
     params: MetricParams = CANONICAL_PARAMS,
-    richardson: bool = True,
 ) -> np.ndarray:
-    """Residual matrix L_V G at X along the flow of ``spec``.
+    """Residual matrix L_V G = V.dG + DV^T G + G DV at X along the flow of ``spec``.
 
-    Vanishes exactly for Killing flows (Hermitian kernels); the nonlinear
-    catalog terms leave a mixed-block residual -4 rho_i delta_ij per unit
-    strength.
+    Closed form: DV is the field Jacobian and V.dG the exact directional
+    derivative of G = blockdiag(g, g^{-1}), so the residual is exact up to
+    rounding at every n.  A Hermitian-kernel flow is Killing where
+    B(|rho|) = 1.  For a |rho|-dependent B with B(1) = 1 that is only the
+    normalized surface |rho| = 1, and off it the residual is of order one;
+    for the constant B = 1 it holds everywhere.  The nonlinear catalog
+    terms leave a mixed-block residual -4 rho_i delta_ij per unit strength.
     """
-    _check_fd_step(fd_step)
     n = X.n
-
-    def tensor(x: np.ndarray) -> np.ndarray:
-        return phase_space_metric(x[:n], params).G
-
-    return lie_derivative(_spec_field_fn(spec, n), tensor, X.coordinates, fd_step, richardson=richardson)
-
-
-def lie_derivative_symplectic(
-    spec: HamiltonianSpec,
-    X: PhasePoint,
-    fd_step: float = 1e-4,
-    *,
-    richardson: bool = True,
-) -> np.ndarray:
-    """Residual matrix L_V Omega at X; zero for every Hamiltonian flow,
-    gauge-invariant or not, since the field is a symplectic gradient."""
-    _check_fd_step(fd_step)
-    n = X.n
-    omega = symplectic_matrix(n).Omega
-
-    def tensor(x: np.ndarray) -> np.ndarray:
-        return omega
-
-    return lie_derivative(_spec_field_fn(spec, n), tensor, X.coordinates, fd_step, richardson=richardson)
+    metric = phase_space_metric(X.rho, params)
+    jac = _field_jacobian(spec, X.rho, X.pi)
+    v_rho, _ = _field_arrays(spec, X.rho, X.pi)
+    dg, dg_inv = _metric_blocks_derivative(X.rho, v_rho, params, metric.momentum_block)
+    residual = jac.T @ metric.G + metric.G @ jac
+    residual[:n, :n] += dg
+    residual[n:, n:] += dg_inv
+    return residual
 
 
-def classify_flow(
-    spec: HamiltonianSpec,
-    sample_points,
-    fd_step: float = 1e-4,
-) -> FlowClassification:
+def lie_derivative_symplectic(spec: HamiltonianSpec, X: PhasePoint) -> np.ndarray:
+    """Residual matrix L_V Omega = DV^T Omega + Omega DV at X, in closed form.
+
+    Zero up to rounding for every Hamiltonian flow, gauge-invariant or not,
+    since the field is a symplectic gradient: the residual compares Hessian
+    blocks that the field Jacobian assembles separately.
+    """
+    omega = symplectic_matrix(X.n).Omega
+    jac = _field_jacobian(spec, X.rho, X.pi)
+    return jac.T @ omega + omega @ jac
+
+
+def classify_flow(spec: HamiltonianSpec, sample_points) -> FlowClassification:
     """Measure realness, normalization conservation, and both Lie-derivative
     residuals over the sample points.
 
@@ -253,10 +237,8 @@ def classify_flow(
         raise ValueError("at least one sample point is required")
     realness = max(abs(_eval_complex(spec, X.rho, X.pi).imag) for X in points)
     normalization = max(abs(check_normalization_generator(spec, X)) for X in points)
-    symplectic = max(
-        float(np.max(np.abs(lie_derivative_symplectic(spec, X, fd_step)))) for X in points
-    )
-    metric = max(float(np.max(np.abs(lie_derivative_metric(spec, X, fd_step)))) for X in points)
+    symplectic = max(float(np.max(np.abs(lie_derivative_symplectic(spec, X)))) for X in points)
+    metric = max(float(np.max(np.abs(lie_derivative_metric(spec, X)))) for X in points)
     return FlowClassification(
         preserves_symplectic=symplectic <= SYMPLECTIC_TOL,
         symplectic_residual=float(symplectic),

@@ -303,6 +303,62 @@ def _field_arrays(spec: HamiltonianSpec, rho: np.ndarray, pi: np.ndarray):
     return dp.real.copy(), -dr.real
 
 
+def _field_jacobian(spec: HamiltonianSpec, rho: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """Jacobian DV[a, b] = dV_a / dx_b of the flow field, a 2n x 2n matrix.
+
+    Differentiates the complex gradients of `_grad_arrays` once more through
+    the same chart rule (dpsi_k/drho_k = psi_k / (2 rho_k), dpsi_k/dpi_k =
+    i psi_k), giving DV = [[H_pi,rho, H_pi,pi], [-H_rho,rho, -H_rho,pi]].
+    Each block is assembled from its own gradient component, so the
+    symmetry of the Hessian is measured, not assumed.  Requires the interior.
+    """
+    require_interior(rho)
+    _check_dim(spec, rho.size)
+    n = rho.size
+    psi = _psi_from(rho, pi)
+    half = 0.5 / rho  # d log|psi_k| / drho_k, the chart factor of both psi and conj(psi)
+    diag = np.diag_indices(n)
+    # Derivatives of the complex gradients dr = dH/drho and dp = dH/dpi.
+    dr_rho = np.zeros((n, n), dtype=complex)
+    dr_pi = np.zeros((n, n), dtype=complex)
+    dp_rho = np.zeros((n, n), dtype=complex)
+    dp_pi = np.zeros((n, n), dtype=complex)
+    if spec.kernel is not None:
+        m = np.conj(psi)[:, None] * spec.kernel * psi        # m_ab = psi_a^* K_ab psi_b
+        right = m.sum(axis=1)                                 # psi_a^* (K psi)_a
+        left = m.sum(axis=0)                                  # (psi^* K)_a psi_a
+        right_rho = m * half
+        right_rho[diag] += right * half
+        left_rho = m.T * half
+        left_rho[diag] += left * half
+        right_pi = 1j * m
+        right_pi[diag] -= 1j * right
+        left_pi = -1j * m.T
+        left_pi[diag] += 1j * left
+        dr_rho += half[:, None] * (right_rho + left_rho)
+        dr_rho[diag] -= (right + left) * half / rho
+        dr_pi += half[:, None] * (right_pi + left_pi)
+        dp_rho += -1j * (right_rho - left_rho)
+        dp_pi += -1j * (right_pi - left_pi)
+    if spec.linear_bra is not None:
+        u = np.conj(psi) * spec.linear_bra
+        dr_rho[diag] -= u * half / (2.0 * rho)
+        dr_pi[diag] -= 1j * u * half
+        dp_rho[diag] -= 1j * u * half
+        dp_pi[diag] -= u
+    if spec.linear_ket is not None:
+        w = spec.linear_ket * psi
+        dr_rho[diag] -= w * half / (2.0 * rho)
+        dr_pi[diag] += 1j * w * half
+        dp_rho[diag] += 1j * w * half
+        dp_pi[diag] -= w
+    if spec.nonlinear == "sum_rho_squared":
+        dr_rho[diag] += 2.0 * spec.nonlinear_strength
+    elif spec.nonlinear == "quartic_psi":
+        dr_rho[diag] += 2.0 * spec.nonlinear_strength * (np.conj(psi) * psi).real / rho
+    return np.block([[dp_rho.real, dp_pi.real], [-dr_rho.real, -dr_pi.real]])
+
+
 def eval_hamiltonian(spec: HamiltonianSpec, X: PhasePoint) -> tuple[float, float]:
     """Value of the Hamiltonian at X as (real part, imaginary residue).
 

@@ -74,6 +74,13 @@ def _polyval(coeffs: tuple[float, ...], x: float) -> float:
     return acc
 
 
+def _polyslope(coeffs: tuple[float, ...], x: float) -> float:
+    acc = 0.0
+    for k in range(len(coeffs) - 1, 0, -1):
+        acc = acc * x + k * coeffs[k]
+    return acc
+
+
 @dataclass(frozen=True)
 class MetricParams:
     """Coefficient functions A and B of the information metric.
@@ -172,6 +179,22 @@ def _metric_blocks(rho: np.ndarray, params: MetricParams) -> tuple[np.ndarray, n
             )
         g_inv = g_inv - (a / denom) * np.outer(d_inv, d_inv)
     return g, g_inv
+
+
+def _metric_blocks_derivative(
+    rho: np.ndarray, drho: np.ndarray, params: MetricParams, g_inv: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Directional derivatives (dg, d(g^{-1})) of `_metric_blocks` along drho.
+
+    With s = |rho| and ds = sum(drho), dg = A'(s) ds n n^T +
+    diag(B'(s) ds / (2 rho) - B(s) drho / (2 rho^2)), and
+    d(g^{-1}) = -g^{-1} dg g^{-1}.
+    """
+    s = float(rho.sum())
+    ds = float(drho.sum())
+    dg = np.diag((_polyslope(params.b_coeffs, s) * ds - params.b_value(s) * drho / rho) / (2.0 * rho))
+    dg += _polyslope(params.a_coeffs, s) * ds
+    return dg, -g_inv @ dg @ g_inv
 
 
 def info_metric(rho, params: MetricParams = CANONICAL_PARAMS) -> InfoMetric:

@@ -65,11 +65,11 @@ def test_02_hamilton_killing_preservation():
             for point in points:
                 worst_metric = max(
                     worst_metric,
-                    float(np.max(np.abs(lie_derivative_metric(spec, point, 1e-4)))),
+                    float(np.max(np.abs(lie_derivative_metric(spec, point)))),
                 )
                 worst_symplectic = max(
                     worst_symplectic,
-                    float(np.max(np.abs(lie_derivative_symplectic(spec, point, 1e-4)))),
+                    float(np.max(np.abs(lie_derivative_symplectic(spec, point)))),
                 )
     ok = worst_metric <= 1e-6 and worst_symplectic <= 1e-8
     report(2, "Hermitian kernels preserve G and Omega", ok,
@@ -79,8 +79,8 @@ def test_02_hamilton_killing_preservation():
 def test_03_negative_control_separation():
     control = HamiltonianSpec(kernel=np.zeros((2, 2)), nonlinear="sum_rho_squared")
     barycenter = PhasePoint([0.5, 0.5], [0.0, 0.0])
-    metric_residual = lie_derivative_metric(control, barycenter, 1e-4)
-    symplectic_residual = float(np.max(np.abs(lie_derivative_symplectic(control, barycenter, 1e-4))))
+    metric_residual = lie_derivative_metric(control, barycenter)
+    symplectic_residual = float(np.max(np.abs(lie_derivative_symplectic(control, barycenter))))
     mixed_entry = float(metric_residual[0, 2])  # (rho_1, pi_1) block entry, oracle -4 rho_1
     ok = (
         float(np.max(np.abs(metric_residual))) >= 0.1

@@ -17,14 +17,24 @@ from simplexflow import (
     lie_derivative,
     lie_derivative_metric,
     lie_derivative_symplectic,
+    phase_space_metric,
     symplectic_matrix,
     to_complex,
 )
 from simplexflow.diagnostics import random_hermitian, sample_interior_points
+from simplexflow.flows import _field_arrays
 
-from conftest import SIGMA_X, SIGMA_Z
+from conftest import SIGMA_X, SIGMA_Z, spec_kinds
 
 CONTROL = HamiltonianSpec(kernel=np.zeros((2, 2)), nonlinear="sum_rho_squared")
+
+
+def spec_field(spec, n):
+    """The flow field of ``spec`` as a function of the 2n coordinates."""
+    def field(x):
+        return np.concatenate(_field_arrays(spec, x[:n], x[n:]))
+
+    return field
 
 
 def fs_ratio_oracle(rho, pi, drho, dpi, eps):
@@ -78,11 +88,38 @@ class TestLieDerivativeMetric:
         assert np.max(np.abs(residual)) <= 1e-10
 
     def test_fd_step_bounds(self):
-        X = PhasePoint([0.5, 0.5], [0.0, 0.0])
+        # The finite-difference oracle owns the step check; the closed forms have no step.
+        x = PhasePoint([0.5, 0.5], [0.0, 0.0]).coordinates
+        field = spec_field(CONTROL, 2)
         with pytest.raises(ValueError):
-            lie_derivative_metric(CONTROL, X, fd_step=1e-7)
+            lie_derivative(field, lambda y: phase_space_metric(y[:2]).G, x, fd_step=1e-7)
         with pytest.raises(ValueError):
-            lie_derivative_symplectic(CONTROL, X, fd_step=1e-2)
+            lie_derivative(field, lambda y: symplectic_matrix(2).Omega, x, fd_step=1e-2)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_matches_finite_difference_oracle(self, n, rng):
+        point = sample_interior_points(n, 1, rng=rng, include_barycenter=False)[0]
+        for label, spec in spec_kinds(n, rng):
+            field = spec_field(spec, n)
+            for params in DEFAULT_PARAM_FAMILIES:
+                exact = lie_derivative_metric(spec, point, params=params)
+                oracle = lie_derivative(field, lambda y: phase_space_metric(y[:n], params).G,
+                                        point.coordinates)
+                assert np.max(np.abs(exact - oracle)) <= 1e-9, (label, params)
+
+    @pytest.mark.parametrize("total", [0.7, 1.3])
+    def test_killing_off_the_normalized_surface(self, total, rng):
+        # Killing holds where B(|rho|) = 1: everywhere for the families with
+        # constant B = 1, only on |rho| = 1 for the four with |rho|-dependent B.
+        spec = HamiltonianSpec(kernel=random_hermitian(3, rng))
+        point = sample_interior_points(3, 1, rng=rng, include_barycenter=False)[0]
+        scaled = PhasePoint(total * point.rho, point.pi)
+        for params in DEFAULT_PARAM_FAMILIES:
+            residual = np.max(np.abs(lie_derivative_metric(spec, scaled, params=params)))
+            if len(params.b_coeffs) == 1:
+                assert residual <= 1e-12, params
+            else:
+                assert residual > 0.1, params
 
 
 class TestLieDerivativeSymplectic:

@@ -26,8 +26,9 @@ from simplexflow import (
     symplectic_eval,
 )
 from simplexflow.diagnostics import random_hermitian, sample_interior_points
+from simplexflow.flows import _field_arrays, _field_jacobian
 
-from conftest import SIGMA_X, SIGMA_Z
+from conftest import SIGMA_X, SIGMA_Z, spec_kinds
 
 
 def fd_gradient(spec, X, h=1e-6):
@@ -178,6 +179,32 @@ class TestVectorField:
             hamiltonian_vector_field(
                 HamiltonianSpec(kernel=SIGMA_X), PhasePoint([1.0 - 1e-11, 1e-11], [0.0, 0.0])
             )
+
+
+def fd_field_jacobian(spec, X, rel_step=1e-6):
+    """Independent oracle: central differences of the field, with each rho
+    step taken relative to rho_i so that the 1/rho terms stay resolved."""
+    n = X.n
+    x = X.coordinates
+    columns = []
+    for c in range(2 * n):
+        e = np.zeros(2 * n)
+        e[c] = rel_step * (x[c] if c < n else 1.0)
+        plus = np.concatenate(_field_arrays(spec, (x + e)[:n], (x + e)[n:]))
+        minus = np.concatenate(_field_arrays(spec, (x - e)[:n], (x - e)[n:]))
+        columns.append((plus - minus) / (2.0 * e[c]))
+    return np.stack(columns, axis=1)
+
+
+class TestFieldJacobian:
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_matches_central_differences(self, n, rng):
+        for point in sample_interior_points(n, 2, rng=rng):
+            for label, spec in spec_kinds(n, rng):
+                exact = _field_jacobian(spec, point.rho, point.pi)
+                oracle = fd_field_jacobian(spec, point)
+                error = np.max(np.abs(exact - oracle)) / np.max(np.abs(oracle))
+                assert error <= 1e-7, (label, error)
 
 
 class TestPoissonBracket:

@@ -1,19 +1,27 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import simplexflow
 from simplexflow import (
     ConfigError,
     DiagnosticsReport,
+    MetricParams,
     config_from_dict,
     emit_report,
+    lie_derivative_metric,
     run_scenario,
     validate_config,
 )
 from simplexflow.cli import main as cli_main
+from simplexflow.diagnostics import random_hermitian, sample_interior_points
 
 
 def qubit_config(**overrides):
@@ -201,6 +209,57 @@ class TestRunScenario:
         assert report["error"]["type"] == "BoundaryError"
         assert report["exit_ok"] is False
 
+    def test_initial_total_within_validation_tolerance_is_renormalized(self, tmp_path):
+        # Validation accepts |sum(rho) - 1| <= 1e-9; the norm_defect row allows only 1e-10.
+        given = {"rho": [0.6 + 5e-10, 0.4], "pi": [0.0, 0.5]}
+        cfg = config_from_dict(
+            qubit_config(initial_state=given, integrator={"h": 2.5e-4, "steps": 400},
+                         checks=["conservation"])
+        )
+        assert cfg.resolved["initial_state"] == given
+        assert abs(cfg.initial.rho_total - 1.0) <= 1e-15
+        result = run_scenario(cfg, out_dir=tmp_path)
+        assert result.exit_code == 0, result.report["checks"]
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_wide_killing_flow_passes_structure_checks(self, n, tmp_path):
+        rng = np.random.default_rng(n)
+        kernel = random_hermitian(n, rng)
+        kernel /= np.linalg.norm(kernel, 2)
+        start = sample_interior_points(n, 1, rng=rng, include_barycenter=False)[0]
+        cfg = config_from_dict(
+            qubit_config(
+                id="wide",
+                n=n,
+                hamiltonian={"kernel": {"real": kernel.real.tolist(), "imag": kernel.imag.tolist()}},
+                initial_state={"rho": start.rho.tolist(), "pi": start.pi.tolist()},
+                integrator={"h": 1e-3, "steps": 1},
+                checks=["symplectic", "metric"],
+            )
+        )
+        result = run_scenario(cfg, out_dir=tmp_path)
+        assert result.exit_code == 0, result.report["checks"]
+
+    def test_metric_check_uses_metric_params(self, tmp_path):
+        control = {
+            "kernel": {"real": [[0.0, 0.0], [0.0, 0.0]]},
+            "nonlinear": {"tag": "sum_rho_squared", "strength": 1.0},
+        }
+        residuals = {}
+        for a in (0.0, 3.0):
+            cfg = config_from_dict(
+                qubit_config(id="params", hamiltonian=control, metric_params={"a_coeffs": [a]},
+                             checks=[{"name": "metric", "expect_pass": False}])
+            )
+            residuals[a] = run_scenario(cfg, out_dir=tmp_path).report["checks"][0]["residual"]
+        points = sample_interior_points(2, 8, rng=np.random.default_rng([42, 0]))
+        expected = max(
+            float(np.max(np.abs(lie_derivative_metric(cfg.hamiltonian, X, params=MetricParams((3.0,))))))
+            for X in points
+        )
+        assert residuals[3.0] == expected
+        assert residuals[3.0] != residuals[0.0]
+
     def test_byte_identical_outputs(self, tmp_path):
         cfg = config_from_dict(qubit_config(checks=["realness", "conservation", "bracket_commutator"],
                                             integrator={"h": 2.5e-4, "steps": 400}))
@@ -325,3 +384,12 @@ class TestCli:
         empty.mkdir()
         result = CliRunner().invoke(cli_main, ["batch", str(empty)])
         assert result.exit_code == 2
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(simplexflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "simplexflow", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "batch" in proc.stdout
