@@ -1,9 +1,8 @@
 """Flows on the phase space of the probability simplex.
 
-Information-geometry tensors on the positive cone, Hamiltonian vector fields
-and symplectic integration in real coordinates, the complex chart with exact
-unitary propagation, and diagnostics that verify which flows preserve which
-structures.
+Information-geometry tensors on the positive cone, Hamiltonian vector fields,
+symplectic integration in the complex chart, exact unitary propagation, and
+diagnostics that verify which flows preserve which structures.
 """
 
 from ._version import __version__

@@ -369,9 +369,8 @@ def convergence_study(spec: HamiltonianSpec, X0: PhasePoint, h_list, tau_total: 
         h = float(h)
         steps = max(1, int(round(tau_total / h)))
         trajectory = integrate_midpoint(spec, X0, h, steps)
-        endpoint = to_complex(trajectory.points[-1])
         exact = propagate_unitary(K, psi0, steps * h)
-        err = float(np.linalg.norm(endpoint.psi - exact.psi))
+        err = float(np.linalg.norm(trajectory.psi[-1] - exact.psi))
         row = {"h": h, "steps": steps, "endpoint_error": err}
         if previous is not None and err > 0.0:
             row["ratio"] = previous / err

@@ -1,4 +1,4 @@
-"""Hamiltonian functions and their flows in real phase-space coordinates.
+"""Hamiltonian functions and their flows on phase space.
 
 A Hamiltonian is specified by a complex bilinear kernel acting through the
 complex chart psi_i = sqrt(rho_i) exp(i pi_i), optional linear terms, a
@@ -6,27 +6,31 @@ constant, and an optional nonlinear perturbation from a small catalog.  The
 value and all derivatives are closed form in (rho, pi) via the chain rule
 through the chart, so no automatic differentiation is involved.
 
-Flows are integrated with the implicit midpoint rule: it is symplectic, it
-conserves linear invariants such as sum(rho) exactly, and it handles these
-non-separable Hamiltonians.  Momenta are circle-valued (each pi_i matters
-only modulo 2 pi); values are stored as given and `circle_difference` or
-`PhasePoint.wrapped_pi` reduce to a fundamental domain when needed.
+Flows are integrated with the implicit midpoint rule in the chart psi, where
+the flow reads dpsi/dtau = -i (K psi + b + 2 s |psi|^2 psi).  The chart is
+canonical, so the step is symplectic in (rho, pi) as well; it conserves
+sum(rho) = |psi|^2 and, without the nonlinear term, the energy exactly, and
+rho_i = 0 is a regular point of it.  Momenta are circle-valued (each pi_i
+matters only modulo 2 pi); values are stored as given and
+`circle_difference` or `PhasePoint.wrapped_pi` reduce to a fundamental
+domain when needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
-    BoundaryError,
     ConvergenceError,
     DimensionError,
     NormalizationError,
+    NotHermitianError,
     NotRealError,
 )
-from .geometry import EPS_FLOOR, NORM_TOL, as_vector, readonly, require_interior
+from .geometry import NORM_TOL, as_vector, readonly, require_interior
 
 TWO_PI = 2.0 * np.pi
 
@@ -35,6 +39,9 @@ REAL_TOL = 1e-9
 
 #: Elementwise tolerance for kernel Hermiticity and linear-term conjugacy.
 HERMITIAN_TOL = 1e-12
+
+#: Components with |psi_i| below this have no well-defined phase.
+PHASE_FLOOR = 1e-15
 
 NONLINEAR_TAGS = ("none", "sum_rho_squared", "quartic_psi")
 
@@ -214,34 +221,94 @@ class HamiltonianSpec:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """Ordered flow samples with per-step conservation diagnostics."""
+class HermitianOperator:
+    """A complex square matrix equal to its conjugate transpose."""
 
-    parameter_values: np.ndarray
-    points: tuple[PhasePoint, ...]
-    norm_defects: np.ndarray    # |sum(rho) - 1| per sample
-    energy_defects: np.ndarray  # |H(X_k) - H(X_0)| per sample
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        m = np.asarray(self.matrix, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise DimensionError(f"matrix must be square, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("matrix has non-finite entries")
+        deviation = float(np.max(np.abs(m - m.conj().T)))
+        if deviation > HERMITIAN_TOL:
+            raise NotHermitianError(f"matrix deviates from Hermitian by {deviation:.3e}")
+        object.__setattr__(self, "matrix", readonly(m, dtype=complex))
+
+    @property
+    def n(self) -> int:
+        return self.matrix.shape[0]
+
+    @cached_property
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues w and unitary eigenvectors V with matrix = V diag(w) V^H,
+        computed once per operator."""
+        w, V = np.linalg.eigh(self.matrix)
+        return readonly(w), readonly(V, dtype=complex)
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """Flow samples as arrays, one row per sample, with conservation diagnostics.
+
+    ``psi`` holds the integrated states and ``rho`` = |psi|^2 is derived from
+    it.  ``pi`` is continuous from the initial momenta: each row adds the
+    phase increment of psi to the previous row, and a component with
+    |psi_i| < PHASE_FLOOR keeps its last value.
+    """
+
+    parameter_values: np.ndarray  # (m,)
+    psi: np.ndarray               # (m, n) complex
+    pi: np.ndarray                # (m, n)
+    norm_defects: np.ndarray      # |sum(rho) - 1| per sample
+    energy_defects: np.ndarray    # |H(X_k) - H(X_0)| per sample
 
     def __post_init__(self):
         taus = as_vector(self.parameter_values, "parameter_values")
-        points = tuple(self.points)
+        psi = np.asarray(self.psi, dtype=complex)
+        pi = np.asarray(self.pi, dtype=float)
         norms = as_vector(self.norm_defects, "norm_defects")
         energies = as_vector(self.energy_defects, "energy_defects")
-        if not (len(points) == taus.size == norms.size == energies.size):
+        if psi.ndim != 2 or psi.shape != pi.shape:
+            raise DimensionError(f"psi {psi.shape} and pi {pi.shape} must be equal (m, n) arrays")
+        if not (psi.shape[0] == taus.size == norms.size == energies.size):
             raise DimensionError("trajectory fields have mismatched lengths")
         if taus.size > 1 and np.min(np.diff(taus)) <= 0.0:
             raise ValueError("parameter values must be strictly increasing")
         object.__setattr__(self, "parameter_values", readonly(taus))
-        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "psi", readonly(psi, dtype=complex))
+        object.__setattr__(self, "pi", readonly(pi))
         object.__setattr__(self, "norm_defects", readonly(norms))
         object.__setattr__(self, "energy_defects", readonly(energies))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.parameter_values.size
+
+    @property
+    def n(self) -> int:
+        return self.psi.shape[1]
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        """|psi|^2 per sample, computed on first use."""
+        rho = _weights(self.psi)
+        rho.setflags(write=False)
+        return rho
+
+    def point(self, k: int) -> PhasePoint:
+        """Sample k as a phase-space point."""
+        return PhasePoint(self.rho[k], self.pi[k])
 
 
 def _psi_from(rho: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return np.sqrt(rho) * np.exp(1j * pi)
+
+
+def _weights(psi: np.ndarray) -> np.ndarray:
+    """|psi_i|^2 elementwise."""
+    return psi.real**2 + psi.imag**2
 
 
 def _check_dim(spec: HamiltonianSpec, n: int) -> None:
@@ -249,21 +316,26 @@ def _check_dim(spec: HamiltonianSpec, n: int) -> None:
         raise DimensionError(f"spec has dimension {spec.n} but the point has dimension {n}")
 
 
-def _eval_complex(spec: HamiltonianSpec, rho: np.ndarray, pi: np.ndarray) -> complex:
-    psi = _psi_from(rho, pi)
-    value = complex(spec.constant)
+def _values(spec: HamiltonianSpec, psi: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Complex values of the Hamiltonian at the states along the last axis of
+    ``psi``, with ``rho`` the matching weights."""
+    value = np.full(psi.shape[:-1], complex(spec.constant))
     if spec.kernel is not None:
-        value += complex(np.conj(psi) @ spec.kernel @ psi)
+        value += np.sum(np.conj(psi) * (psi @ spec.kernel.T), axis=-1)
     if spec.linear_bra is not None:
-        value += complex(np.conj(psi) @ spec.linear_bra)
+        value += np.conj(psi) @ spec.linear_bra
     if spec.linear_ket is not None:
-        value += complex(spec.linear_ket @ psi)
+        value += psi @ spec.linear_ket
     if spec.nonlinear == "sum_rho_squared":
-        value += spec.nonlinear_strength * float(np.sum(rho * rho))
+        value += spec.nonlinear_strength * np.sum(rho * rho, axis=-1)
     elif spec.nonlinear == "quartic_psi":
         dens = (np.conj(psi) * psi).real
-        value += spec.nonlinear_strength * float(np.sum(dens * dens))
+        value += spec.nonlinear_strength * np.sum(dens * dens, axis=-1)
     return value
+
+
+def _eval_complex(spec: HamiltonianSpec, rho: np.ndarray, pi: np.ndarray) -> complex:
+    return complex(_values(spec, _psi_from(rho, pi), rho))
 
 
 def _grad_arrays(spec: HamiltonianSpec, rho: np.ndarray, pi: np.ndarray):
@@ -421,16 +493,21 @@ def integrate_midpoint(
     tol: float = 1e-13,
     max_iter: int = 50,
 ) -> Trajectory:
-    """Integrate the flow of ``spec`` from ``X0`` with the implicit midpoint rule.
+    """Integrate the flow of ``spec`` from ``X0`` with the implicit midpoint rule in psi.
 
-    Each step solves X1 = X0 + h f((X0 + X1)/2) by fixed-point iteration
-    starting from an explicit Euler predictor; the sweep stops when the
-    update falls below ``tol`` (the true fixed-point error is then smaller by
-    the contraction factor, of order h * |df|).  Records the normalization
-    defect |sum(rho) - 1| and the energy defect |H(X_k) - H(X_0)| at every
-    sample.  Aborts with BoundaryError as soon as an iterate or midpoint
-    leaves the interior, rather than projecting back (projection would break
-    symplecticity).
+    In the chart the flow is dpsi/dtau = -i (K psi + b + g(psi)), with b the
+    linear term and g(psi) = 2 s |psi|^2 psi the nonlinear catalog term of
+    strength s.  The step psi1 = psi0 + h f((psi0 + psi1)/2) then reads
+    psi1 = M psi0 + c + B g((psi0 + psi1)/2) with the Cayley map
+    M = (I + i h K/2)^-1 (I - i h K/2), B = -i h (I + i h K/2)^-1 and c = B b,
+    formed once from the eigendecomposition of K, which keeps M unitary to
+    rounding.  Without a nonlinear term the step is that affine map.  With
+    one, the cubic term is solved by fixed-point iteration from the explicit
+    predictor; ConvergenceError is raised when an update is still above
+    ``tol`` after ``max_iter`` sweeps.  rho_i = 0 is a regular point of the
+    chart, so a flow passes through the simplex boundary.  Records the
+    normalization defect |sum(rho) - 1| and the energy defect
+    |H(X_k) - H(X_0)| at every sample.
     """
     spec.require_valid_real()
     if not np.isfinite(h) or h <= 0.0:
@@ -438,50 +515,79 @@ def integrate_midpoint(
     if int(steps) != steps or steps < 1:
         raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
     steps = int(steps)
-    rho = X0.rho.copy()
-    pi = X0.pi.copy()
-    require_interior(rho)
-    _check_dim(spec, rho.size)
-    energy0 = _eval_complex(spec, rho, pi).real
-    taus = [0.0]
-    points = [PhasePoint(rho, pi)]
-    norm_defects = [abs(rho.sum() - 1.0)]
-    energy_defects = [0.0]
+    n = X0.n
+    _check_dim(spec, n)
+    kernel = np.zeros((n, n)) if spec.kernel is None else spec.kernel
+    w, V = HermitianOperator(kernel).eigh
+    # In the eigenbasis of K, phi = V^H psi, M and B are the diagonals
+    # `rotation` and `gain` and c is `shift`, so a step is elementwise and the
+    # rounding of M does not accumulate along the trajectory the way a dense
+    # matrix product's would.
+    denom = 1.0 + 0.5j * h * w
+    rotation = (1.0 - 0.5j * h * w) / denom
+    gain = -1j * h / denom
+    linear = np.zeros(n, dtype=complex)  # d(Re H)/d conj(psi) of the linear terms
+    if spec.linear_bra is not None:
+        linear += 0.5 * spec.linear_bra
+    if spec.linear_ket is not None:
+        linear += 0.5 * np.conj(spec.linear_ket)
+    V_h = V.conj().T
+    shift = gain * (V_h @ linear)
+    cubic = 0.0 if spec.nonlinear == "none" else 2.0 * spec.nonlinear_strength
+    cubic_gain = cubic * gain
+
+    def kick(phi_mid):
+        """B g(psi) in the eigenbasis, for psi = V phi_mid."""
+        psi_mid = V @ phi_mid
+        return cubic_gain * (V_h @ (_weights(psi_mid) * psi_mid))
+
+    psi0 = _psi_from(X0.rho, X0.pi)
+    phi = np.empty((steps + 1, n), dtype=complex)
+    phi[0] = V_h @ psi0
     for k in range(steps):
-        fr, fp = _field_arrays(spec, rho, pi)
-        zr = rho + h * fr
-        zp = pi + h * fp
-        converged = False
-        for _ in range(max_iter):
-            mr = 0.5 * (rho + zr)
-            mp = 0.5 * (pi + zp)
-            if float(np.min(mr)) < EPS_FLOOR:
-                raise BoundaryError(f"flow reached the simplex boundary at step {k + 1}")
-            fr, fp = _field_arrays(spec, mr, mp)
-            nr = rho + h * fr
-            npi = pi + h * fp
-            delta = max(float(np.max(np.abs(nr - zr))), float(np.max(np.abs(npi - zp))))
-            zr, zp = nr, npi
-            if delta <= tol:
-                converged = True
-                break
-        if not converged:
-            raise ConvergenceError(
-                f"midpoint fixed point missed tolerance {tol:g} after {max_iter} sweeps at step {k + 1}"
-            )
-        if float(np.min(zr)) < EPS_FLOOR:
-            raise BoundaryError(f"flow reached the simplex boundary at step {k + 1}")
-        rho, pi = zr, zp
-        taus.append((k + 1) * h)
-        points.append(PhasePoint(rho, pi))
-        norm_defects.append(abs(rho.sum() - 1.0))
-        energy_defects.append(abs(_eval_complex(spec, rho, pi).real - energy0))
+        start = phi[k]
+        affine = rotation * start + shift
+        z = affine
+        if cubic:
+            z = affine + kick(start)
+            for _ in range(max_iter):
+                update = affine + kick(0.5 * (start + z))
+                delta = float(abs(update - z).max())
+                z = update
+                if delta <= tol:
+                    break
+            else:
+                raise ConvergenceError(
+                    f"midpoint fixed point missed tolerance {tol:g} after {max_iter} sweeps at step {k + 1}"
+                )
+        phi[k + 1] = z
+    psi = phi @ V.T
+    psi[0] = psi0
+    rho = _weights(psi)
+    energy = _values(spec, psi, rho).real
     return Trajectory(
-        parameter_values=np.asarray(taus),
-        points=tuple(points),
-        norm_defects=np.asarray(norm_defects),
-        energy_defects=np.asarray(energy_defects),
+        parameter_values=np.arange(steps + 1) * h,
+        psi=psi,
+        pi=_continuous_phase(psi, X0.pi),
+        norm_defects=np.abs(rho.sum(axis=1) - 1.0),
+        energy_defects=np.abs(energy - energy[0]),
     )
+
+
+def _continuous_phase(psi: np.ndarray, pi0: np.ndarray) -> np.ndarray:
+    """Momenta along the rows of ``psi``, continuous from ``pi0``.
+
+    Each row is arg(psi) moved by a multiple of 2 pi to within pi of the row
+    before; a component with |psi_i| < PHASE_FLOOR has no phase and keeps
+    its last value.
+    """
+    phase = np.angle(psi)
+    phase[0] = pi0
+    # Row of the latest sample with a defined phase, per component; row 0
+    # holds pi0, so it serves where no phase has been defined yet.
+    rows = np.where(np.abs(psi) >= PHASE_FLOOR, np.arange(psi.shape[0])[:, None], 0)
+    np.maximum.accumulate(rows, axis=0, out=rows)
+    return np.unwrap(np.take_along_axis(phase, rows, axis=0), axis=0)
 
 
 def gauge_canonicalize(X: PhasePoint) -> PhasePoint:

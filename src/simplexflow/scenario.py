@@ -71,6 +71,9 @@ CHECK_IDS = {
 NORM_DEFECT_TOL = 1e-10
 ENERGY_DEFECT_TOL = 1e-8
 
+#: Trajectory rows formatted per write; bounds the CSV text held in memory.
+CSV_CHUNK_ROWS = 64
+
 DEFAULT_CONVERGENCE_H = (4e-3, 2e-3, 1e-3, 5e-4)
 DEFAULT_CONVERGENCE_TAU = 1.0
 
@@ -110,10 +113,6 @@ class ScenarioResult:
     report: dict
     trajectory_path: Path | None
     report_path: Path
-
-
-def _fmt17(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def config_hash(config: ScenarioConfig) -> str:
@@ -413,9 +412,13 @@ def validate_config(path) -> ScenarioConfig:
 
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> Path:
-    """Round-trip-safe CSV: 17 significant digits per float column."""
+    """Round-trip-safe CSV: 17 significant digits per float column.
+
+    Rows are formatted and written in chunks of CSV_CHUNK_ROWS, so the text
+    of the whole table is never held at once.
+    """
     path = Path(path)
-    n = trajectory.points[0].n
+    n = trajectory.n
     header = (
         ["step", "tau"]
         + [f"rho_{i + 1}" for i in range(n)]
@@ -424,20 +427,24 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> Path:
         + [f"im_psi_{i + 1}" for i in range(n)]
         + ["norm_defect", "energy_defect"]
     )
-    lines = [",".join(header)]
-    for k, point in enumerate(trajectory.points):
-        psi = to_complex(point).psi
-        cells = (
-            [str(k), _fmt17(trajectory.parameter_values[k])]
-            + [_fmt17(v) for v in point.rho]
-            + [_fmt17(v) for v in point.pi]
-            + [_fmt17(v) for v in psi.real]
-            + [_fmt17(v) for v in psi.imag]
-            + [_fmt17(trajectory.norm_defects[k]), _fmt17(trajectory.energy_defects[k])]
-        )
-        lines.append(",".join(cells))
+    row_format = "%d" + ",%.17g" * (len(header) - 1) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8") as out:
+        out.write(",".join(header) + "\n")
+        for start in range(0, len(trajectory), CSV_CHUNK_ROWS):
+            rows = slice(start, start + CSV_CHUNK_ROWS)
+            psi = trajectory.psi[rows]
+            table = np.column_stack([
+                np.arange(start, start + psi.shape[0]),
+                trajectory.parameter_values[rows],
+                trajectory.rho[rows],
+                trajectory.pi[rows],
+                psi.real,
+                psi.imag,
+                trajectory.norm_defects[rows],
+                trajectory.energy_defects[rows],
+            ])
+            out.write("".join(row_format % tuple(row) for row in table.tolist()))
     return path
 
 

@@ -307,10 +307,16 @@ class TestConvergenceStudy:
         assert report.all_passed()
 
     def test_identity_kernel_exact(self):
-        spec = HamiltonianSpec(kernel=np.eye(2))
-        report = convergence_study(spec, PhasePoint([0.3, 0.7], [0.1, 0.9]), (1e-2, 5e-3), 0.5)
+        # The Cayley angle 2 atan(h/2) lags h by h^3/12 per step: order two.
+        X0 = PhasePoint([0.3, 0.7], [0.1, 0.9])
+        report = convergence_study(HamiltonianSpec(kernel=np.eye(2)), X0, (1e-2, 5e-3), 0.5)
+        assert abs(report.convergence[1]["ratio"] - 4.0) <= 1e-4
+        assert abs(report.observed_order - 2.0) <= 1e-4
+        assert report.all_passed()
+        # The zero kernel does not move the state: the exact branch, error 0.
+        report = convergence_study(HamiltonianSpec(kernel=np.zeros((2, 2))), X0, (1e-2, 5e-3), 0.5)
         assert report.observed_order is None
-        assert all(row["endpoint_error"] <= 1e-12 for row in report.convergence)
+        assert all(row["endpoint_error"] == 0.0 for row in report.convergence)
         assert report.all_passed()
 
     def test_seeded_five_level_kernel(self):

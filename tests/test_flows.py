@@ -6,9 +6,11 @@ from numpy.testing import assert_allclose
 
 from simplexflow import (
     BoundaryError,
+    ComplexState,
     ConvergenceError,
     DimensionError,
     HamiltonianSpec,
+    HermitianOperator,
     NormalizationError,
     NotRealError,
     PhasePoint,
@@ -18,17 +20,22 @@ from simplexflow import (
     check_normalization_generator,
     circle_difference,
     eval_hamiltonian,
+    from_complex,
     gauge_canonicalize,
     gradient,
     hamiltonian_vector_field,
     integrate_midpoint,
     poisson_bracket,
+    propagate_unitary,
     symplectic_eval,
+    to_complex,
 )
 from simplexflow.diagnostics import random_hermitian, sample_interior_points
 from simplexflow.flows import _field_arrays, _field_jacobian
 
 from conftest import SIGMA_X, SIGMA_Z, spec_kinds
+
+INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def fd_gradient(spec, X, h=1e-6):
@@ -274,26 +281,25 @@ class TestNormalizationGenerator:
 
 class TestIntegrateMidpoint:
     def test_identity_kernel_exact_linear_flow(self):
+        # The Cayley step turns each phase by the angle 2 atan(h/2) per step.
         spec = HamiltonianSpec(kernel=np.eye(2))
         X0 = PhasePoint([0.3, 0.7], [0.5, 2.0])
         traj = integrate_midpoint(spec, X0, 0.01, 100)
-        end = traj.points[-1]
-        assert np.array_equal(end.rho, X0.rho)
-        assert_allclose(end.pi, X0.pi - 1.0, atol=1e-13)
-        assert np.max(traj.norm_defects) <= 1e-15
-        assert np.max(traj.energy_defects) <= 1e-14
+        end = traj.point(-1)
+        assert_allclose(end.rho, X0.rho, rtol=0, atol=1e-13)
+        assert_allclose(end.pi, X0.pi - 200 * np.arctan(0.005), rtol=0, atol=1e-13)
+        assert np.max(traj.norm_defects) <= 1e-13
+        assert np.max(traj.energy_defects) <= 1e-13
 
     def test_constraint_flow_shifts_momenta(self):
         spec = HamiltonianSpec.normalization(3)
         X0 = PhasePoint([0.2, 0.3, 0.5], [0.0, 1.0, 2.0])
         traj = integrate_midpoint(spec, X0, 0.05, 40)
-        end = traj.points[-1]
-        assert np.array_equal(end.rho, X0.rho)
-        assert_allclose(end.pi, X0.pi + 2.0, atol=1e-13)
+        end = traj.point(-1)
+        assert_allclose(end.rho, X0.rho, rtol=0, atol=1e-13)
+        assert_allclose(end.pi, X0.pi + 80 * np.arctan(0.025), rtol=0, atol=1e-13)
 
     def test_second_order_against_unitary_oracle(self):
-        from simplexflow import propagate_unitary, to_complex, HermitianOperator
-
         spec = HamiltonianSpec(kernel=SIGMA_X)
         X0 = PhasePoint([0.9, 0.1], [0.0, 0.0])
         psi0 = to_complex(X0)
@@ -302,7 +308,7 @@ class TestIntegrateMidpoint:
             steps = int(round(0.5 / h))
             traj = integrate_midpoint(spec, X0, h, steps)
             exact = propagate_unitary(HermitianOperator(SIGMA_X), psi0, steps * h)
-            errors.append(np.linalg.norm(to_complex(traj.points[-1]).psi - exact.psi))
+            errors.append(np.linalg.norm(traj.psi[-1] - exact.psi))
         assert 3.6 <= errors[0] / errors[1] <= 4.4
 
     def test_defect_columns_recorded(self):
@@ -314,16 +320,46 @@ class TestIntegrateMidpoint:
         assert np.max(traj.norm_defects) <= 1e-13
         assert traj.energy_defects[0] == 0.0
 
-    def test_boundary_abort(self):
-        spec = HamiltonianSpec(kernel=SIGMA_X)
-        X0 = PhasePoint([1.0 - 1e-9, 1e-9], [0.0, np.pi / 2])
-        with pytest.raises(BoundaryError):
-            integrate_midpoint(spec, X0, 1e-3, 50)
+    def test_flow_through_zero_weight_matches_unitary_oracle(self):
+        # Under sigma_x both starts reach rho_i = 0, a regular point in psi.
+        for psi0 in ([INV_SQRT2, -1j * INV_SQRT2], [1.0, 0.0]):
+            X0, _ = from_complex(ComplexState(psi0))
+            traj = integrate_midpoint(HamiltonianSpec(kernel=SIGMA_X), X0, 1e-3, 5000)
+            exact = propagate_unitary(HermitianOperator(SIGMA_X), to_complex(X0), 5.0)
+            assert np.min(traj.rho) <= 1e-7
+            assert np.all(np.isfinite(traj.pi))
+            assert np.linalg.norm(traj.psi[-1] - exact.psi) <= 4.5e-7
+            assert np.max(traj.norm_defects) <= 1e-12
 
     def test_convergence_error_with_starved_iterations(self):
-        spec = HamiltonianSpec(kernel=SIGMA_X)
+        spec = HamiltonianSpec(kernel=SIGMA_X, nonlinear="quartic_psi")
+        X0 = PhasePoint([0.6, 0.4], [0.3, 1.1])
         with pytest.raises(ConvergenceError):
-            integrate_midpoint(spec, PhasePoint([0.6, 0.4], [0.3, 1.1]), 1e-2, 1, max_iter=1)
+            integrate_midpoint(spec, X0, 1e-2, 1, max_iter=1)
+        assert len(integrate_midpoint(spec, X0, 1e-2, 1)) == 2
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_step_solves_the_midpoint_equation(self, n, rng):
+        # (psi1 - psi0)/h equals the real-chart field at the midpoint state,
+        # pushed into psi by dpsi = psi (drho / (2 rho) + i dpi).
+        h = 1e-2
+        for label, spec in spec_kinds(n, rng):
+            X0 = sample_interior_points(n, 1, rng=rng, include_barycenter=False)[0]
+            psi0, psi1 = integrate_midpoint(spec, X0, h, 1).psi
+            mid, _ = from_complex(ComplexState(0.5 * (psi0 + psi1)))
+            fr, fp = _field_arrays(spec, mid.rho, mid.pi)
+            field = 0.5 * (psi0 + psi1) * (fr / (2 * mid.rho) + 1j * fp)
+            assert np.max(np.abs((psi1 - psi0) / h - field)) <= 1e-12, label
+
+    @pytest.mark.parametrize("n", [8, 128])
+    def test_pure_kernel_conserves_energy_to_rounding(self, n):
+        rng = np.random.default_rng(n)
+        kernel = random_hermitian(n, rng)
+        kernel /= np.linalg.norm(kernel, 2)
+        X0 = sample_interior_points(n, 1, rng=rng, include_barycenter=False)[0]
+        traj = integrate_midpoint(HamiltonianSpec(kernel=kernel), X0, 1e-3, 1000)
+        assert np.max(traj.energy_defects) <= 1e-13
+        assert np.max(traj.norm_defects) <= 1e-13
 
     def test_parameter_validation(self):
         spec = HamiltonianSpec(kernel=SIGMA_X)
@@ -341,7 +377,7 @@ class TestIntegrateMidpoint:
 
         def step(x):
             traj = integrate_midpoint(spec, PhasePoint(x[:2], x[2:]), h, 1, tol=1e-14)
-            return traj.points[-1].coordinates
+            return traj.point(-1).coordinates
 
         jac = np.empty((4, 4))
         for c in range(4):
@@ -361,14 +397,14 @@ class TestIntegrateMidpoint:
         e_11[0, 0] = 1.0
         rho1 = HamiltonianSpec(kernel=e_11)
         for k in (50, 100, 150):
-            fd = (traj.points[k + 1].rho[0] - traj.points[k - 1].rho[0]) / (2 * h)
-            bracket = poisson_bracket(rho1, spec, traj.points[k])
+            fd = (traj.rho[k + 1, 0] - traj.rho[k - 1, 0]) / (2 * h)
+            bracket = poisson_bracket(rho1, spec, traj.point(k))
             assert abs(fd - bracket) <= 1e-4
             energy_fd = (
-                eval_hamiltonian(spec, traj.points[k + 1])[0]
-                - eval_hamiltonian(spec, traj.points[k - 1])[0]
+                eval_hamiltonian(spec, traj.point(k + 1))[0]
+                - eval_hamiltonian(spec, traj.point(k - 1))[0]
             ) / (2 * h)
-            assert abs(energy_fd - poisson_bracket(spec, spec, traj.points[k])) <= 1e-6
+            assert abs(energy_fd - poisson_bracket(spec, spec, traj.point(k))) <= 1e-6
 
     def test_flow_reversal_symmetric_kernel(self):
         # Real symmetric kernels: reversing (rho, pi) -> (rho, -pi) and the
@@ -376,9 +412,9 @@ class TestIntegrateMidpoint:
         spec = HamiltonianSpec(kernel=SIGMA_X + 0.3 * SIGMA_Z)
         X0 = PhasePoint([0.7, 0.3], [0.4, 2.1])
         forward = integrate_midpoint(spec, X0, 1e-3, 300)
-        end = forward.points[-1]
+        end = forward.point(-1)
         back = integrate_midpoint(spec, PhasePoint(end.rho, -np.asarray(end.pi)), 1e-3, 300)
-        returned = back.points[-1]
+        returned = back.point(-1)
         assert_allclose(returned.rho, X0.rho, atol=1e-9)
         assert np.max(np.abs(circle_difference(returned.pi, -np.asarray(X0.pi)))) <= 1e-9
 
@@ -409,11 +445,34 @@ class TestGaugeCanonicalize:
 
 class TestTrajectoryType:
     def test_invariants_enforced(self):
-        points = (PhasePoint([0.5, 0.5], [0.0, 0.0]), PhasePoint([0.5, 0.5], [0.1, 0.1]))
+        psi = np.full((2, 2), INV_SQRT2, dtype=complex)
+        pi = np.zeros((2, 2))
+        traj = Trajectory(np.array([0.0, 0.1]), psi, pi, np.zeros(2), np.zeros(2))
+        assert len(traj) == 2 and traj.n == 2
+        assert_allclose(traj.rho, 0.5, rtol=1e-15)
+        assert_allclose(traj.point(1).rho, traj.rho[1], rtol=0, atol=0)
+        assert not traj.psi.flags.writeable and not traj.pi.flags.writeable
         with pytest.raises(ValueError):
-            Trajectory(np.array([0.0, 0.0]), points, np.zeros(2), np.zeros(2))
+            Trajectory(np.array([0.0, 0.0]), psi, pi, np.zeros(2), np.zeros(2))
         with pytest.raises(DimensionError):
-            Trajectory(np.array([0.0, 0.1]), points, np.zeros(3), np.zeros(2))
+            Trajectory(np.array([0.0, 0.1]), psi, pi, np.zeros(3), np.zeros(2))
+        with pytest.raises(DimensionError):
+            Trajectory(np.array([0.0, 0.1]), psi, np.zeros((2, 3)), np.zeros(2), np.zeros(2))
+        with pytest.raises(DimensionError):
+            Trajectory(np.array([0.0, 0.1]), psi[0], pi[0], np.zeros(2), np.zeros(2))
+
+    def test_momenta_continuous_and_held_at_zero_amplitude(self):
+        # Under sigma_z psi_2 stays exactly 0, so pi_2 keeps its initial
+        # value, while pi_1 winds past -2 pi without being wrapped.
+        X0 = PhasePoint([1.0, 0.0], [0.3, 2.5])
+        traj = integrate_midpoint(HamiltonianSpec(kernel=SIGMA_Z), X0, 0.05, 200)
+        assert np.all(traj.pi[:, 1] == 2.5)
+        winding = 0.3 - 2 * np.arange(201) * np.arctan(0.025)
+        assert_allclose(traj.pi[:, 0], winding, rtol=0, atol=1e-14)
+        # Under sigma_x psi_2 leaves 0 at once; every row's momenta give back psi.
+        traj = integrate_midpoint(HamiltonianSpec(kernel=SIGMA_X), X0, 0.05, 400)
+        rebuilt = np.sqrt(traj.rho) * np.exp(1j * traj.pi)
+        assert_allclose(rebuilt[1:], traj.psi[1:], rtol=0, atol=1e-14)
 
     def test_tangent_vector_split(self):
         vec = TangentVector([1.0, 2.0, 3.0, 4.0])

@@ -128,16 +128,18 @@ class TestPsiTensors:
         assert_allclose(omega, symplectic_matrix(3).Omega, atol=0)
 
     def test_inner_product_from_tensors_by_hand(self, rng):
-        # Recompute (G + i Omega)/2 contraction here and compare with the
-        # direct sum; this is the same identity inner_product enforces.
-        n = 3
-        G, omega, _ = psi_tensors(n)
-        psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        phi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        a = np.concatenate([psi, 1j * np.conj(psi)])
-        b = np.concatenate([phi, 1j * np.conj(phi)])
-        value = 0.5 * a @ ((G + 1j * omega) @ b)
-        assert_allclose(value, np.vdot(psi, phi), rtol=1e-13)
+        # The (G + i Omega)/2 contraction of the coordinate pairs is the
+        # inner product, at every n, to 1e-13 relative to max(1, |<psi|phi>|).
+        for n in (1, 2, 3, 8, 32, 128):
+            G, omega, _ = psi_tensors(n)
+            psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            phi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            a = np.concatenate([psi, 1j * np.conj(psi)])
+            b = np.concatenate([phi, 1j * np.conj(phi)])
+            value = 0.5 * a @ ((G + 1j * omega) @ b)
+            direct = inner_product(ComplexState(psi), ComplexState(phi))
+            assert direct == np.vdot(psi, phi)
+            assert abs(value - direct) <= 1e-13 * max(1.0, abs(direct)), n
 
 
 class TestPropagateUnitary:
@@ -163,6 +165,15 @@ class TestPropagateUnitary:
         direct = propagate_unitary(K, psi0, a + b)
         assert np.max(np.abs(once.psi - direct.psi)) <= 1e-12
         assert abs(once.rho_total - psi0.rho_total) <= 1e-13
+
+    def test_decomposition_computed_once_per_operator(self, rng):
+        K = HermitianOperator(random_hermitian(4, rng))
+        w, V = K.eigh
+        assert K.eigh[1] is V
+        assert_allclose((V * w) @ V.conj().T, K.matrix, rtol=0, atol=1e-14)
+        psi0 = ComplexState(np.eye(4)[0])
+        assert_allclose(propagate_unitary(K, psi0, 0.7).psi, V @ (np.exp(-0.7j * w) * V.conj().T[:, 0]),
+                        rtol=0, atol=1e-15)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):

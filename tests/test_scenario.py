@@ -16,9 +16,11 @@ from simplexflow import (
     MetricParams,
     config_from_dict,
     emit_report,
+    integrate_midpoint,
     lie_derivative_metric,
     run_scenario,
     validate_config,
+    write_trajectory_csv,
 )
 from simplexflow.cli import main as cli_main
 from simplexflow.diagnostics import random_hermitian, sample_interior_points
@@ -193,12 +195,17 @@ class TestRunScenario:
         assert result.exit_code == 1
         assert result.report["exit_ok"] is False
 
-    def test_boundary_error_produces_error_record(self, tmp_path):
+    def test_numeric_error_produces_error_record(self, tmp_path):
+        # At strength 40 and h = 0.01 the cubic term's fixed-point map barely
+        # contracts, so 50 sweeps miss the solver tolerance.
         cfg = config_from_dict(
             qubit_config(
-                id="boundary",
-                initial_state={"rho": [1.0 - 1e-9, 1e-9], "pi": [0.0, math.pi / 2]},
-                integrator={"h": 1e-3, "steps": 50},
+                id="starved",
+                hamiltonian={
+                    "kernel": {"real": [[0.0, 1.0], [1.0, 0.0]]},
+                    "nonlinear": {"tag": "quartic_psi", "strength": 40.0},
+                },
+                integrator={"h": 1e-2, "steps": 50},
                 checks=[],
             )
         )
@@ -206,8 +213,30 @@ class TestRunScenario:
         assert result.exit_code == 2
         assert result.trajectory_path is None
         report = json.loads(result.report_path.read_text())
-        assert report["error"]["type"] == "BoundaryError"
+        assert report["error"]["type"] == "ConvergenceError"
         assert report["exit_ok"] is False
+
+    def test_basis_state_runs_through_zero_weight(self, tmp_path):
+        cfg = config_from_dict(
+            qubit_config(
+                id="basis",
+                initial_state={"psi": {"real": [1.0, 0.0]}},
+                integrator={"h": 1e-3, "steps": 2000},
+                checks=["realness", "normalization", "conservation", "convergence", "gauge_born"],
+            )
+        )
+        assert cfg.initial.rho.tolist() == [1.0, 0.0]
+        result = run_scenario(cfg, out_dir=tmp_path)
+        assert result.exit_code == 0, result.report
+        first = result.trajectory_path.read_text().splitlines()[1].split(",")
+        assert float(first[3]) == 0.0  # rho_2 at step 0
+
+    def test_readme_example_runs(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        example = readme.split("Example scenario:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+        result = run_scenario(config_from_dict(json.loads(example)), out_dir=tmp_path)
+        assert result.exit_code == 0, result.report["checks"]
+        assert len(result.report["checks"]) >= 10
 
     def test_initial_total_within_validation_tolerance_is_renormalized(self, tmp_path):
         # Validation accepts |sum(rho) - 1| <= 1e-9; the norm_defect row allows only 1e-10.
@@ -278,16 +307,29 @@ class TestRunScenario:
     def test_csv_is_round_trip_safe(self, tmp_path):
         cfg = config_from_dict(qubit_config(checks=[], integrator={"h": 1e-3, "steps": 5}))
         result = run_scenario(cfg, out_dir=tmp_path)
-        from simplexflow import integrate_midpoint
-
         trajectory = integrate_midpoint(cfg.hamiltonian, cfg.initial, cfg.h, cfg.steps)
         lines = result.trajectory_path.read_text().splitlines()
         last = lines[-1].split(",")
         n = cfg.n
         assert float(last[1]) == trajectory.parameter_values[-1]
         for i in range(n):
-            assert float(last[2 + i]) == trajectory.points[-1].rho[i]
-            assert float(last[2 + n + i]) == trajectory.points[-1].pi[i]
+            assert float(last[2 + i]) == trajectory.rho[-1, i]
+            assert float(last[2 + n + i]) == trajectory.pi[-1, i]
+            assert float(last[2 + 2 * n + i]) == trajectory.psi[-1, i].real
+            assert float(last[2 + 3 * n + i]) == trajectory.psi[-1, i].imag
+
+    def test_csv_chunks_match_cell_by_cell_formatting(self, tmp_path):
+        cfg = config_from_dict(qubit_config(checks=[], integrator={"h": 1e-3, "steps": 150}))
+        trajectory = integrate_midpoint(cfg.hamiltonian, cfg.initial, cfg.h, cfg.steps)
+        lines = write_trajectory_csv(trajectory, tmp_path / "t.csv").read_text().splitlines()
+        assert len(lines) == 152  # header and three chunks of rows
+        for k, line in enumerate(lines[1:]):
+            values = [
+                trajectory.parameter_values[k], *trajectory.rho[k], *trajectory.pi[k],
+                *trajectory.psi[k].real, *trajectory.psi[k].imag,
+                trajectory.norm_defects[k], trajectory.energy_defects[k],
+            ]
+            assert line == ",".join([str(k)] + [format(float(v), ".17g") for v in values])
 
     def test_convergence_check_attaches_table(self, tmp_path):
         cfg = config_from_dict(
