@@ -11,10 +11,8 @@ from .diagnostics import (
     FS_RATIO_CONSTANT,
     CheckResult,
     DiagnosticsReport,
-    FlowClassification,
     FsRatios,
     ab_independence_sweep,
-    classify_flow,
     convergence_study,
     fs_consistency,
     lie_derivative,
@@ -78,8 +76,10 @@ from .hilbert import (
     to_complex,
 )
 from .scenario import (
+    FlowClassification,
     ScenarioConfig,
     ScenarioResult,
+    classify_flow,
     config_from_dict,
     emit_report,
     run_scenario,
@@ -108,12 +108,13 @@ __all__ = [
     "inner_product", "propagate_unitary", "commutator_identity_check",
     "superposition", "psi_tensors",
     # diagnostics
-    "FlowClassification", "CheckResult", "DiagnosticsReport", "FsRatios",
+    "CheckResult", "DiagnosticsReport", "FsRatios",
     "FS_RATIO_CONSTANT", "DEFAULT_PARAM_FAMILIES", "sample_interior_points",
     "random_hermitian", "lie_derivative", "lie_derivative_metric",
-    "lie_derivative_symplectic", "classify_flow", "fs_consistency",
-    "ab_independence_sweep", "convergence_study",
+    "lie_derivative_symplectic", "fs_consistency", "ab_independence_sweep",
+    "convergence_study",
     # scenario
     "ScenarioConfig", "ScenarioResult", "config_from_dict", "validate_config",
-    "run_scenario", "emit_report", "write_trajectory_csv",
+    "run_scenario", "emit_report", "write_trajectory_csv", "FlowClassification",
+    "classify_flow",
 ]

@@ -18,6 +18,7 @@ domain when needed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -208,10 +209,6 @@ class HamiltonianSpec:
                 "Hamiltonian is not real-valued: the kernel must be Hermitian "
                 "and linear_ket must equal conj(linear_bra)"
             )
-
-    @classmethod
-    def from_kernel(cls, kernel) -> "HamiltonianSpec":
-        return cls(kernel=np.asarray(kernel, dtype=complex))
 
     @classmethod
     def normalization(cls, n: int) -> "HamiltonianSpec":
@@ -504,10 +501,10 @@ def integrate_midpoint(
     rounding.  Without a nonlinear term the step is that affine map.  With
     one, the cubic term is solved by fixed-point iteration from the explicit
     predictor; ConvergenceError is raised when an update is still above
-    ``tol`` after ``max_iter`` sweeps.  rho_i = 0 is a regular point of the
-    chart, so a flow passes through the simplex boundary.  Records the
-    normalization defect |sum(rho) - 1| and the energy defect
-    |H(X_k) - H(X_0)| at every sample.
+    ``tol`` after ``max_iter`` sweeps, or at the first sweep whose update is
+    not finite.  rho_i = 0 is a regular point of the chart, so a flow passes
+    through the simplex boundary.  Records the normalization defect
+    |sum(rho) - 1| and the energy defect |H(X_k) - H(X_0)| at every sample.
     """
     spec.require_valid_real()
     if not np.isfinite(h) or h <= 0.0:
@@ -544,23 +541,28 @@ def integrate_midpoint(
     psi0 = _psi_from(X0.rho, X0.pi)
     phi = np.empty((steps + 1, n), dtype=complex)
     phi[0] = V_h @ psi0
-    for k in range(steps):
-        start = phi[k]
-        affine = rotation * start + shift
-        z = affine
-        if cubic:
-            z = affine + kick(start)
-            for _ in range(max_iter):
-                update = affine + kick(0.5 * (start + z))
-                delta = float(abs(update - z).max())
-                z = update
-                if delta <= tol:
-                    break
-            else:
-                raise ConvergenceError(
-                    f"midpoint fixed point missed tolerance {tol:g} after {max_iter} sweeps at step {k + 1}"
-                )
-        phi[k + 1] = z
+    # A diverging fixed-point solve overflows before it is caught below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            start = phi[k]
+            affine = rotation * start + shift
+            z = affine
+            if cubic:
+                z = affine + kick(start)
+                for _ in range(max_iter):
+                    update = affine + kick(0.5 * (start + z))
+                    delta = float(abs(update - z).max())
+                    z = update
+                    if delta <= tol:
+                        break
+                    if not math.isfinite(delta):
+                        raise ConvergenceError(f"midpoint fixed point diverged at step {k + 1}")
+                else:
+                    raise ConvergenceError(
+                        f"midpoint fixed point missed tolerance {tol:g} after {max_iter} sweeps"
+                        f" at step {k + 1}"
+                    )
+            phi[k + 1] = z
     psi = phi @ V.T
     psi[0] = psi0
     rho = _weights(psi)

@@ -22,7 +22,7 @@ from .flows import (
     PhasePoint,
     poisson_bracket,
 )
-from .geometry import readonly
+from .geometry import NORM_TOL, readonly
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class ComplexState:
 
     @property
     def is_normalized(self) -> bool:
-        return abs(self.rho_total - 1.0) <= 1e-12
+        return abs(self.rho_total - 1.0) <= NORM_TOL
 
 
 def to_complex(X: PhasePoint) -> ComplexState:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -19,10 +20,9 @@ import numpy as np
 
 from ._version import __version__
 from .diagnostics import (
+    CONVERGENCE_EXACT_TOL,
+    CONVERGENCE_ORDER_TOL,
     FS_RATIO_CONSTANT,
-    METRIC_TOL,
-    SYMPLECTIC_TOL,
-    CheckResult,
     DiagnosticsReport,
     ab_independence_sweep,
     convergence_study,
@@ -34,6 +34,8 @@ from .diagnostics import (
 )
 from .errors import ConfigError, ParamError, SimplexFlowError
 from .flows import (
+    HERMITIAN_TOL,
+    NONLINEAR_TAGS,
     HamiltonianSpec,
     PhasePoint,
     Trajectory,
@@ -53,23 +55,24 @@ from .hilbert import (
 
 SCHEMA_VERSION = 1
 
-#: Stable per-check stream ids so seeded draws do not depend on check order.
-CHECK_IDS = {
-    "realness": 1,
-    "normalization": 2,
-    "symplectic": 3,
-    "metric": 4,
-    "complex_structure": 5,
-    "conservation": 6,
-    "convergence": 7,
-    "bracket_commutator": 8,
-    "ab_independence": 9,
-    "fs_consistency": 10,
-    "gauge_born": 11,
-}
-
+#: Tolerances of the check rows; the CHECKS registry below and classify_flow
+#: read them, and the README check table quotes them.
+REALNESS_TOL = 1e-12
+NORMALIZATION_TOL = 1e-12
+SYMPLECTIC_TOL = 1e-8
+METRIC_TOL = 1e-6
+COMPLEX_STRUCTURE_TOL = 1e-12
 NORM_DEFECT_TOL = 1e-10
 ENERGY_DEFECT_TOL = 1e-8
+BRACKET_TOL = 1e-12
+AB_INDEPENDENCE_TOL = 1e-9
+FS_CONSISTENCY_TOL = 1e-4
+EQUIVARIANCE_TOL = 1e-13
+BORN_RULE_TOL = 1e-12
+UNITARY_NORM_TOL = 1e-13
+
+#: Largest |sum(rho) - 1| accepted in a configured initial state.
+INITIAL_NORM_TOL = 1e-9
 
 #: Trajectory rows formatted per write; bounds the CSV text held in memory.
 CSV_CHUNK_ROWS = 64
@@ -221,7 +224,7 @@ def config_from_dict(data, *, scenario_id: str = "scenario") -> ScenarioConfig:
             else:
                 tag = nl["tag"]
                 strength = nl.get("strength", 1.0)
-                if tag not in ("none", "sum_rho_squared", "quartic_psi"):
+                if tag not in NONLINEAR_TAGS:
                     errors.append(f"hamiltonian.nonlinear.tag {tag!r} is not in the catalog")
                     tag = "none"
                 if not _is_number(strength):
@@ -229,14 +232,14 @@ def config_from_dict(data, *, scenario_id: str = "scenario") -> ScenarioConfig:
                     strength = 1.0
         if kernel is not None:
             deviation = float(np.max(np.abs(kernel - kernel.conj().T)))
-            if deviation > 1e-12:
+            if deviation > HERMITIAN_TOL:
                 errors.append(f"hamiltonian.kernel not Hermitian (max deviation {deviation:.3e})")
         if (bra is None) != (ket is None):
             errors.append(
                 "hamiltonian.linear_bra and hamiltonian.linear_ket must be given together "
                 "as a conjugate pair"
             )
-        elif bra is not None and float(np.max(np.abs(ket - np.conj(bra)))) > 1e-12:
+        elif bra is not None and float(np.max(np.abs(ket - np.conj(bra)))) > HERMITIAN_TOL:
             errors.append("hamiltonian.linear_ket must equal conj(hamiltonian.linear_bra)")
         if kernel is not None:
             try:
@@ -267,7 +270,7 @@ def config_from_dict(data, *, scenario_id: str = "scenario") -> ScenarioConfig:
             if rho is not None and pi is not None:
                 if float(np.min(rho)) < 0.0:
                     errors.append("initial_state.rho must be componentwise nonnegative")
-                elif abs(float(rho.sum()) - 1.0) > 1e-9:
+                elif abs(float(rho.sum()) - 1.0) > INITIAL_NORM_TOL:
                     errors.append(
                         f"initial_state.rho must sum to 1 (got {float(rho.sum())!r})"
                     )
@@ -278,15 +281,16 @@ def config_from_dict(data, *, scenario_id: str = "scenario") -> ScenarioConfig:
             psi = _parse_complex(state.get("psi"), "initial_state.psi", (n,), errors)
             if psi is not None:
                 weight = float(np.sum(np.abs(psi) ** 2))
-                if abs(weight - 1.0) > 1e-9:
+                if abs(weight - 1.0) > INITIAL_NORM_TOL:
                     errors.append(f"initial_state.psi must be normalized (total weight {weight!r})")
                 else:
                     initial, _ = from_complex(ComplexState(psi))
                     initial_node = {"psi": _complex_to_node(psi)}
     if initial is not None:
-        # The total may be off by up to 1e-9, but conservation.norm_defect
-        # measures |sum(rho) - 1| against 1e-10 from step 0, so the state is
-        # put on the simplex here.  initial_node keeps the values as given.
+        # The total may be off by up to INITIAL_NORM_TOL, but the
+        # conservation.norm_defect row measures |sum(rho) - 1| against
+        # NORM_DEFECT_TOL from step 0, so the state is put on the simplex
+        # here.  initial_node keeps the values as given.
         initial = PhasePoint(initial.rho / initial.rho_total, initial.pi)
 
     h, steps = None, None
@@ -320,8 +324,8 @@ def config_from_dict(data, *, scenario_id: str = "scenario") -> ScenarioConfig:
             else:
                 errors.append(f"checks entry {entry!r} must be a name or {{name, expect_pass}}")
                 continue
-            if name not in CHECK_IDS:
-                errors.append(f"unknown check {name!r}; known: {sorted(CHECK_IDS)}")
+            if name not in CHECKS:
+                errors.append(f"unknown check {name!r}; known: {sorted(CHECKS)}")
                 continue
             checks.append(CheckRequest(name, expect))
 
@@ -459,7 +463,7 @@ def emit_report(report, path) -> Path:
 
 
 def _check_rng(config: ScenarioConfig, name: str) -> np.random.Generator:
-    return np.random.default_rng([config.seed, CHECK_IDS[name]])
+    return np.random.default_rng([config.seed, CHECKS[name].stream])
 
 
 def _scenario_points(config: ScenarioConfig) -> list[PhasePoint]:
@@ -471,119 +475,179 @@ def _single_interior_point(n: int, rng: np.random.Generator) -> PhasePoint:
     return sample_interior_points(n, 1, rng=rng, include_barycenter=False)[0]
 
 
-def _run_check(name: str, config: ScenarioConfig, trajectory: Trajectory):
-    """Evaluate one named check; returns (check results, report extras)."""
-    spec = config.hamiltonian
-    report = DiagnosticsReport(scenario_id=config.scenario_id)
-    extras: dict = {}
-    if name == "realness":
-        residual = max(
-            abs(_eval_complex(spec, X.rho, X.pi).imag) for X in _scenario_points(config)
-        )
-        report.add("realness", residual, 1e-12)
-    elif name == "normalization":
-        residual = max(
-            abs(check_normalization_generator(spec, X)) for X in _scenario_points(config)
-        )
-        report.add("normalization", residual, 1e-12)
-    elif name == "symplectic":
-        residual = max(
-            float(np.max(np.abs(lie_derivative_symplectic(spec, X))))
-            for X in _scenario_points(config)
-        )
-        report.add("symplectic", residual, SYMPLECTIC_TOL)
-    elif name == "metric":
-        residual = max(
-            float(np.max(np.abs(lie_derivative_metric(spec, X, params=config.metric_params))))
-            for X in _scenario_points(config)
-        )
-        report.add("metric", residual, METRIC_TOL)
-    elif name == "complex_structure":
-        worst = 0.0
-        for X in _scenario_points(config):
-            J = complex_structure(X.rho, config.metric_params).J
-            worst = max(worst, float(np.max(np.abs(J @ J + np.eye(2 * config.n)))))
-        report.add("complex_structure", worst, 1e-12)
-    elif name == "conservation":
-        report.add("conservation.norm_defect", float(np.max(trajectory.norm_defects)), NORM_DEFECT_TOL)
-        report.add(
-            "conservation.energy_defect", float(np.max(trajectory.energy_defects)), ENERGY_DEFECT_TOL
-        )
-    elif name == "convergence":
-        study = convergence_study(spec, config.initial, config.convergence_h, config.convergence_tau)
-        for result in study.checks:
-            report.checks.append(
-                CheckResult(f"convergence.{result.name.removeprefix('convergence_')}",
-                            result.residual, result.tolerance, result.passed)
-            )
-        extras["convergence"] = study.convergence
-        extras["observed_order"] = study.observed_order
-    elif name == "bracket_commutator":
-        rng = _check_rng(config, name)
-        worst = 0.0
-        for _ in range(50):
-            U = HermitianOperator(random_hermitian(config.n, rng))
-            V = HermitianOperator(random_hermitian(config.n, rng))
-            psi = to_complex(_single_interior_point(config.n, rng))
-            lhs, rhs = commutator_identity_check(U, V, psi)
-            worst = max(worst, abs(lhs - rhs))
-        report.add("bracket_commutator", worst, 1e-12)
-    elif name == "ab_independence":
-        rng = _check_rng(config, name)
-        point = _single_interior_point(config.n, rng)
+@dataclass(frozen=True)
+class Check:
+    """A registered check: its seeded stream id, the tolerance of each row it
+    reports, and ``residuals(config, trajectory, extras)``, which returns
+    {row name: residual} and may add report keys to ``extras``.  A sampled
+    check also keeps its per-point residual ``at(spec, X, params)``."""
+
+    stream: int
+    tolerances: dict[str, float]
+    residuals: Callable[[ScenarioConfig, Trajectory, dict], dict[str, float]]
+    at: Callable[[HamiltonianSpec, PhasePoint, MetricParams], float] | None = None
+
+
+def _sampled(stream: int, name: str, tolerance: float, at) -> Check:
+    """A one-row check: the max of ``at`` over the scenario's sample points."""
+
+    def residuals(config, trajectory, extras):
+        points = _scenario_points(config)
+        return {name: max(at(config.hamiltonian, X, config.metric_params) for X in points)}
+
+    return Check(stream, {name: tolerance}, residuals, at)
+
+
+def _max_abs(values) -> float:
+    return float(np.max(np.abs(values)))
+
+
+def _complex_structure_at(spec, X, params):
+    J = complex_structure(X.rho, params).J
+    return _max_abs(J @ J + np.eye(2 * X.n))
+
+
+def _conservation(config, trajectory, extras):
+    return {"conservation.norm_defect": float(np.max(trajectory.norm_defects)),
+            "conservation.energy_defect": float(np.max(trajectory.energy_defects))}
+
+
+def _convergence(config, trajectory, extras):
+    study = convergence_study(config.hamiltonian, config.initial, config.convergence_h,
+                              config.convergence_tau)
+    extras.update(convergence=study.convergence, observed_order=study.observed_order)
+    return {f"convergence.{row.name.removeprefix('convergence_')}": row.residual for row in study.checks}
+
+
+def _bracket_commutator(config, trajectory, extras):
+    rng = _check_rng(config, "bracket_commutator")
+    worst = 0.0
+    for _ in range(50):
+        U = HermitianOperator(random_hermitian(config.n, rng))
+        V = HermitianOperator(random_hermitian(config.n, rng))
+        psi = to_complex(_single_interior_point(config.n, rng))
+        lhs, rhs = commutator_identity_check(U, V, psi)
+        worst = max(worst, abs(lhs - rhs))
+    return {"bracket_commutator": worst}
+
+
+def _ab_independence(config, trajectory, extras):
+    rng = _check_rng(config, "ab_independence")
+    point = _single_interior_point(config.n, rng)
+    drho = rng.standard_normal(config.n)
+    drho -= drho.mean()
+    dpi = rng.standard_normal(config.n)
+    return {"ab_independence": ab_independence_sweep(point.rho, drho, dpi)}
+
+
+def _fs_consistency(config, trajectory, extras):
+    rng = _check_rng(config, "fs_consistency")
+    psi = to_complex(_single_interior_point(config.n, rng))
+    limits = []
+    cauchy = 0.0
+    for _ in range(5):
+        # The ratio approaches its limit linearly in eps * |direction|,
+        # so the probe directions are normalized to a fixed small length.
         drho = rng.standard_normal(config.n)
         drho -= drho.mean()
         dpi = rng.standard_normal(config.n)
-        report.add("ab_independence", ab_independence_sweep(point.rho, drho, dpi), 1e-9)
-    elif name == "fs_consistency":
-        rng = _check_rng(config, name)
-        psi = to_complex(_single_interior_point(config.n, rng))
-        limits = []
-        cauchy = 0.0
-        for _ in range(5):
-            # The ratio approaches its limit linearly in eps * |direction|,
-            # so the probe directions are normalized to a fixed small length.
-            drho = rng.standard_normal(config.n)
-            drho -= drho.mean()
-            dpi = rng.standard_normal(config.n)
-            scale = 4.0 * float(np.sqrt(drho @ drho + dpi @ dpi))
-            drho, dpi = drho / scale, dpi / scale
-            ratios = fs_consistency(psi, drho, dpi, (1e-2, 3e-3, 1e-3, 3e-4, 1e-4))
-            limits.append(ratios.limit)
-            cauchy = max(cauchy, ratios.cauchy_residual)
-        report.add("fs_consistency.cauchy", cauchy, 1e-4)
-        report.add(
-            "fs_consistency.constant",
-            max(abs(v - FS_RATIO_CONSTANT) for v in limits),
-            1e-4,
-        )
-        report.add("fs_consistency.direction_spread", max(limits) - min(limits), 1e-4)
-    elif name == "gauge_born":
-        rng = _check_rng(config, name)
-        K = HermitianOperator(spec.kernel)
-        psi0 = to_complex(config.initial)
-        taus = rng.uniform(0.1, 2.0, 4)
-        nus = rng.uniform(0.0, 2.0 * np.pi, 3)
-        equivariance = 0.0
-        born = 0.0
-        norm = 0.0
-        for tau in taus:
-            evolved = propagate_unitary(K, psi0, tau)
-            point, _ = from_complex(evolved)
-            born = max(born, float(np.max(np.abs(point.rho - np.abs(evolved.psi) ** 2))))
-            norm = max(norm, abs(evolved.rho_total - psi0.rho_total))
-            for nu in nus:
-                shifted = propagate_unitary(K, ComplexState(np.exp(1j * nu) * psi0.psi), tau)
-                equivariance = max(
-                    equivariance,
-                    float(np.max(np.abs(shifted.psi - np.exp(1j * nu) * evolved.psi))),
-                )
-        report.add("gauge_born.equivariance", equivariance, 1e-13)
-        report.add("gauge_born.born_rule", born, 1e-12)
-        report.add("gauge_born.norm_conservation", norm, 1e-13)
-    else:  # pragma: no cover - names are validated upstream
-        raise ConfigError([f"unknown check {name!r}"])
-    return report.checks, extras
+        scale = 4.0 * float(np.sqrt(drho @ drho + dpi @ dpi))
+        drho, dpi = drho / scale, dpi / scale
+        ratios = fs_consistency(psi, drho, dpi, (1e-2, 3e-3, 1e-3, 3e-4, 1e-4))
+        limits.append(ratios.limit)
+        cauchy = max(cauchy, ratios.cauchy_residual)
+    return {"fs_consistency.cauchy": cauchy,
+            "fs_consistency.constant": max(abs(v - FS_RATIO_CONSTANT) for v in limits),
+            "fs_consistency.direction_spread": max(limits) - min(limits)}
+
+
+def _gauge_born(config, trajectory, extras):
+    rng = _check_rng(config, "gauge_born")
+    K = HermitianOperator(config.hamiltonian.kernel)
+    psi0 = to_complex(config.initial)
+    taus = rng.uniform(0.1, 2.0, 4)
+    nus = rng.uniform(0.0, 2.0 * np.pi, 3)
+    equivariance = born = norm = 0.0
+    for tau in taus:
+        evolved = propagate_unitary(K, psi0, tau)
+        point, _ = from_complex(evolved)
+        born = max(born, _max_abs(point.rho - np.abs(evolved.psi) ** 2))
+        norm = max(norm, abs(evolved.rho_total - psi0.rho_total))
+        for nu in nus:
+            shifted = propagate_unitary(K, ComplexState(np.exp(1j * nu) * psi0.psi), tau)
+            equivariance = max(equivariance, _max_abs(shifted.psi - np.exp(1j * nu) * evolved.psi))
+    return {"gauge_born.equivariance": equivariance, "gauge_born.born_rule": born,
+            "gauge_born.norm_conservation": norm}
+
+
+#: The check registry, in the order of the README check table.  Stream ids
+#: are fixed, so seeded draws do not depend on the order of a scenario's checks.
+CHECKS = {
+    "realness": _sampled(1, "realness", REALNESS_TOL,
+                         lambda spec, X, params: abs(_eval_complex(spec, X.rho, X.pi).imag)),
+    "normalization": _sampled(2, "normalization", NORMALIZATION_TOL,
+                              lambda spec, X, params: abs(check_normalization_generator(spec, X))),
+    "symplectic": _sampled(3, "symplectic", SYMPLECTIC_TOL,
+                           lambda spec, X, params: _max_abs(lie_derivative_symplectic(spec, X))),
+    "metric": _sampled(4, "metric", METRIC_TOL,
+                       lambda spec, X, params: _max_abs(lie_derivative_metric(spec, X, params=params))),
+    "complex_structure": _sampled(5, "complex_structure", COMPLEX_STRUCTURE_TOL, _complex_structure_at),
+    "conservation": Check(6, {"conservation.norm_defect": NORM_DEFECT_TOL,
+                              "conservation.energy_defect": ENERGY_DEFECT_TOL}, _conservation),
+    "convergence": Check(7, {"convergence.order": CONVERGENCE_ORDER_TOL,
+                             "convergence.exact": CONVERGENCE_EXACT_TOL}, _convergence),
+    "bracket_commutator": Check(8, {"bracket_commutator": BRACKET_TOL}, _bracket_commutator),
+    "ab_independence": Check(9, {"ab_independence": AB_INDEPENDENCE_TOL}, _ab_independence),
+    "fs_consistency": Check(10, {"fs_consistency.cauchy": FS_CONSISTENCY_TOL,
+                                 "fs_consistency.constant": FS_CONSISTENCY_TOL,
+                                 "fs_consistency.direction_spread": FS_CONSISTENCY_TOL}, _fs_consistency),
+    "gauge_born": Check(11, {"gauge_born.equivariance": EQUIVARIANCE_TOL,
+                             "gauge_born.born_rule": BORN_RULE_TOL,
+                             "gauge_born.norm_conservation": UNITARY_NORM_TOL}, _gauge_born),
+}
+
+
+@dataclass(frozen=True)
+class FlowClassification:
+    """Which structures a flow preserves, with the measured residuals.
+
+    A flow qualifies as Hamilton-Killing when all four flags hold.
+    """
+
+    preserves_symplectic: bool
+    symplectic_residual: float
+    preserves_metric: bool
+    metric_residual: float
+    preserves_normalization: bool
+    normalization_residual: float
+    is_real_valued: bool
+    realness_residual: float
+
+    @property
+    def is_hamilton_killing(self) -> bool:
+        return all((self.preserves_symplectic, self.preserves_metric, self.preserves_normalization,
+                    self.is_real_valued))
+
+
+def classify_flow(spec: HamiltonianSpec, sample_points) -> FlowClassification:
+    """Measure the symplectic, metric, normalization and realness residuals
+    over the sample points, under the canonical metric.
+
+    Each flag is the verdict of the scenario check of the same name, from
+    the same per-point residual and tolerance.  Deterministic given the
+    points.  Pure Hermitian-kernel specs classify as Hamilton-Killing;
+    linear terms break normalization conservation; the nonlinear catalog
+    breaks metric preservation while keeping everything else.
+    """
+    points = list(sample_points)
+    if not points:
+        raise ValueError("at least one sample point is required")
+    fields = []
+    for name in ("symplectic", "metric", "normalization", "realness"):
+        check = CHECKS[name]
+        residual = float(max(check.at(spec, X, CANONICAL_PARAMS) for X in points))
+        fields += [residual <= check.tolerances[name], residual]
+    return FlowClassification(*fields)
 
 
 def run_scenario(config: ScenarioConfig, *, out_dir=None, seed_override: int | None = None) -> ScenarioResult:
@@ -605,48 +669,35 @@ def run_scenario(config: ScenarioConfig, *, out_dir=None, seed_override: int | N
         "seed": cfg.seed,
         "n": cfg.n,
     }
+
+    def numeric_error(exc, rows, written, **where) -> ScenarioResult:
+        error = {"type": type(exc).__name__, "message": str(exc), **where}
+        report = dict(base_report, error=error, checks=rows, exit_ok=False)
+        emit_report(report, report_path)
+        return ScenarioResult(2, report, written, report_path)
+
     try:
         trajectory = integrate_midpoint(cfg.hamiltonian, cfg.initial, cfg.h, cfg.steps)
     except SimplexFlowError as exc:
-        report = dict(
-            base_report,
-            error={"type": type(exc).__name__, "message": str(exc)},
-            checks=[],
-            exit_ok=False,
-        )
-        emit_report(report, report_path)
-        return ScenarioResult(2, report, None, report_path)
+        return numeric_error(exc, [], None)
     write_trajectory_csv(trajectory, trajectory_path)
     rows: list[dict] = []
     extras: dict = {}
     all_ok = True
     for request in cfg.checks:
+        check = CHECKS[request.name]
         try:
-            results, check_extras = _run_check(request.name, cfg, trajectory)
+            residuals = check.residuals(cfg, trajectory, extras)
         except SimplexFlowError as exc:
-            report = dict(
-                base_report,
-                error={"type": type(exc).__name__, "message": str(exc), "check": request.name},
-                checks=rows,
-                exit_ok=False,
-            )
-            emit_report(report, report_path)
-            return ScenarioResult(2, report, trajectory_path, report_path)
-        extras.update(check_extras)
-        for result in results:
-            ok = result.passed == request.expect_pass
+            return numeric_error(exc, rows, trajectory_path, check=request.name)
+        for name, residual in residuals.items():
+            residual = float(residual)
+            tolerance = check.tolerances[name]
+            passed = residual <= tolerance
+            ok = passed == request.expect_pass
             all_ok = all_ok and ok
-            rows.append(
-                {
-                    "check": request.name,
-                    "name": result.name,
-                    "residual": float(result.residual),
-                    "tolerance": float(result.tolerance),
-                    "pass": bool(result.passed),
-                    "expect_pass": bool(request.expect_pass),
-                    "ok": bool(ok),
-                }
-            )
+            rows.append({"check": request.name, "name": name, "residual": residual, "tolerance": tolerance,
+                         "pass": passed, "expect_pass": request.expect_pass, "ok": ok})
     report = dict(base_report, checks=rows, exit_ok=bool(all_ok), **extras)
     emit_report(report, report_path)
     return ScenarioResult(0 if all_ok else 1, report, trajectory_path, report_path)

@@ -338,6 +338,18 @@ class TestIntegrateMidpoint:
             integrate_midpoint(spec, X0, 1e-2, 1, max_iter=1)
         assert len(integrate_midpoint(spec, X0, 1e-2, 1)) == 2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverging_solve_stops_without_overflow_warnings(self):
+        X0 = PhasePoint([0.9, 0.1], [0.0, 0.0])
+        strong = HamiltonianSpec(kernel=SIGMA_X, nonlinear="quartic_psi", nonlinear_strength=100.0)
+        with pytest.raises(ConvergenceError, match="midpoint fixed point diverged at step 1$"):
+            integrate_midpoint(strong, X0, 0.01, 10)
+        # A solve that stays finite but does not settle keeps its message.
+        slow = HamiltonianSpec(kernel=SIGMA_X, nonlinear="quartic_psi", nonlinear_strength=40.0)
+        with pytest.raises(ConvergenceError) as excinfo:
+            integrate_midpoint(slow, X0, 0.01, 10)
+        assert str(excinfo.value) == "midpoint fixed point missed tolerance 1e-13 after 50 sweeps at step 1"
+
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_step_solves_the_midpoint_equation(self, n, rng):
         # (psi1 - psi0)/h equals the real-chart field at the midpoint state,

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,9 @@ import simplexflow
 from simplexflow import (
     ConfigError,
     DiagnosticsReport,
+    HamiltonianSpec,
     MetricParams,
+    classify_flow,
     config_from_dict,
     emit_report,
     integrate_midpoint,
@@ -24,6 +27,11 @@ from simplexflow import (
 )
 from simplexflow.cli import main as cli_main
 from simplexflow.diagnostics import random_hermitian, sample_interior_points
+from simplexflow.scenario import CHECKS, _scenario_points
+
+from conftest import spec_kinds
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def qubit_config(**overrides):
@@ -39,6 +47,11 @@ def qubit_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def readme_example() -> dict:
+    example = README.read_text(encoding="utf-8").split("Example scenario:", 1)[1]
+    return json.loads(example.split("```json", 1)[1].split("```", 1)[0])
 
 
 class TestValidateConfig:
@@ -232,9 +245,7 @@ class TestRunScenario:
         assert float(first[3]) == 0.0  # rho_2 at step 0
 
     def test_readme_example_runs(self, tmp_path):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        example = readme.split("Example scenario:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
-        result = run_scenario(config_from_dict(json.loads(example)), out_dir=tmp_path)
+        result = run_scenario(config_from_dict(readme_example()), out_dir=tmp_path)
         assert result.exit_code == 0, result.report["checks"]
         assert len(result.report["checks"]) >= 10
 
@@ -342,6 +353,88 @@ class TestRunScenario:
         assert result.exit_code == 0
         assert len(result.report["convergence"]) == 3
         assert 1.9 <= result.report["observed_order"] <= 2.1
+
+
+def _node(arr) -> dict:
+    return {"real": np.real(arr).tolist(), "imag": np.imag(arr).tolist()}
+
+
+#: (check, name, tolerance, pass, expect_pass, ok) of every row of the README
+#: example run with all eleven checks, as the if/elif check runner gave them
+#: before the check registry replaced it.
+README_ROWS = [
+    ("realness", "realness", 1e-12, True, True, True),
+    ("normalization", "normalization", 1e-12, True, True, True),
+    ("symplectic", "symplectic", 1e-08, True, True, True),
+    ("metric", "metric", 1e-06, True, True, True),
+    ("complex_structure", "complex_structure", 1e-12, True, True, True),
+    ("conservation", "conservation.norm_defect", 1e-10, True, True, True),
+    ("conservation", "conservation.energy_defect", 1e-08, True, True, True),
+    ("convergence", "convergence.order", 0.1, True, True, True),
+    ("bracket_commutator", "bracket_commutator", 1e-12, True, True, True),
+    ("ab_independence", "ab_independence", 1e-09, True, True, True),
+    ("fs_consistency", "fs_consistency.cauchy", 0.0001, True, True, True),
+    ("fs_consistency", "fs_consistency.constant", 0.0001, True, True, True),
+    ("fs_consistency", "fs_consistency.direction_spread", 0.0001, True, True, True),
+    ("gauge_born", "gauge_born.equivariance", 1e-13, True, True, True),
+    ("gauge_born", "gauge_born.born_rule", 1e-12, True, True, True),
+    ("gauge_born", "gauge_born.norm_conservation", 1e-13, True, True, True),
+]
+
+
+class TestCheckRegistry:
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_classify_flow_gives_the_verdict_of_the_cli_rows(self, n, rng, tmp_path):
+        names = ("symplectic", "metric", "normalization", "realness")
+        for label, spec in spec_kinds(n, rng):
+            hamiltonian = {
+                "kernel": _node(spec.kernel),
+                "nonlinear": {"tag": spec.nonlinear, "strength": spec.nonlinear_strength},
+            }
+            if spec.linear_bra is not None:
+                hamiltonian.update(linear_bra=_node(spec.linear_bra), linear_ket=_node(spec.linear_ket))
+            cfg = config_from_dict(
+                qubit_config(id=label, n=n, hamiltonian=hamiltonian,
+                             initial_state={"rho": [1.0 / n] * n, "pi": [0.0] * n},
+                             integrator={"h": 1e-3, "steps": 1}, checks=list(names))
+            )
+            rows = {row["name"]: row for row in run_scenario(cfg, out_dir=tmp_path).report["checks"]}
+            cls = classify_flow(spec, _scenario_points(cfg))
+            flags = (cls.preserves_symplectic, cls.preserves_metric, cls.preserves_normalization,
+                     cls.is_real_valued)
+            residuals = (cls.symplectic_residual, cls.metric_residual, cls.normalization_residual,
+                         cls.realness_residual)
+            assert [rows[name]["pass"] for name in names] == list(flags), label
+            assert [rows[name]["residual"] for name in names] == list(residuals), label
+            assert cls.preserves_metric == (spec.nonlinear == "none"), label
+            assert cls.preserves_normalization == (spec.linear_bra is None), label
+
+    def test_small_anti_hermitian_part_is_not_real_valued(self, rng):
+        kernel = random_hermitian(3, rng) + 1e-10j * random_hermitian(3, rng)
+        cls = classify_flow(HamiltonianSpec(kernel=kernel), sample_interior_points(3, 8, seed=3))
+        assert not cls.is_real_valued
+        assert not cls.is_hamilton_killing
+        assert cls.realness_residual <= 1e-9
+
+    def test_readme_check_table_matches_the_registry(self):
+        section = README.read_text(encoding="utf-8").split("### Checks", 1)[1].split("\n### ", 1)[0]
+        rows = [re.split(r"(?<!\\)\|", line)[1:-1] for line in section.splitlines() if line.startswith("| `")]
+        assert [cells[0].strip().strip("`") for cells in rows] == list(CHECKS)
+        for name, _, cell in rows:
+            quoted = {float(v) for v in re.findall(r"\d+(?:\.\d+)?(?:e-?\d+)?", cell)}
+            tolerances = set(CHECKS[name.strip().strip("`")].tolerances.values())
+            assert tolerances <= quoted, (name, cell)
+
+    def test_readme_example_rows_are_unchanged(self, tmp_path):
+        example = readme_example()
+        example["checks"] = [
+            "realness", "normalization", "symplectic", "metric", "complex_structure", "conservation",
+            "convergence", "bracket_commutator", "ab_independence", "fs_consistency", "gauge_born",
+        ]
+        result = run_scenario(config_from_dict(example), out_dir=tmp_path)
+        keys = ("check", "name", "tolerance", "pass", "expect_pass", "ok")
+        assert [tuple(row[k] for k in keys) for row in result.report["checks"]] == README_ROWS
+        assert result.exit_code == 0
 
 
 class TestEmitReport:
