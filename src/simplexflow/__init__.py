@@ -9,8 +9,7 @@ from ._version import __version__
 from .diagnostics import (
     DEFAULT_PARAM_FAMILIES,
     FS_RATIO_CONSTANT,
-    CheckResult,
-    DiagnosticsReport,
+    ConvergenceStudy,
     FsRatios,
     ab_independence_sweep,
     convergence_study,
@@ -108,7 +107,7 @@ __all__ = [
     "inner_product", "propagate_unitary", "commutator_identity_check",
     "superposition", "psi_tensors",
     # diagnostics
-    "CheckResult", "DiagnosticsReport", "FsRatios",
+    "ConvergenceStudy", "FsRatios",
     "FS_RATIO_CONSTANT", "DEFAULT_PARAM_FAMILIES", "sample_interior_points",
     "random_hermitian", "lie_derivative", "lie_derivative_metric",
     "lie_derivative_symplectic", "fs_consistency", "ab_independence_sweep",

@@ -3,12 +3,15 @@
 A Hamiltonian is specified by a complex bilinear kernel acting through the
 complex chart psi_i = sqrt(rho_i) exp(i pi_i), optional linear terms, a
 constant, and an optional nonlinear perturbation from a small catalog.  The
-value and all derivatives are closed form in (rho, pi) via the chain rule
-through the chart, so no automatic differentiation is involved.
+value is evaluated from the spec as given.  Every derivative reads the
+spec's psi-form (K, b, s), with dH/dconj(psi) = K psi + b + s |psi|^2 psi
+for the real part H of the value: the gradient, the flow field and its
+Jacobian follow from q = conj(psi) (K psi + b) + s rho^2 through the chart
+rule, and the integrator steps dpsi/dtau = -i (K psi + b + s |psi|^2 psi)
+directly, so no automatic differentiation is involved.
 
-Flows are integrated with the implicit midpoint rule in the chart psi, where
-the flow reads dpsi/dtau = -i (K psi + b + 2 s |psi|^2 psi).  The chart is
-canonical, so the step is symplectic in (rho, pi) as well; it conserves
+Flows are integrated with the implicit midpoint rule in the chart psi.  The
+chart is canonical, so the step is symplectic in (rho, pi) as well; it conserves
 sum(rho) = |psi|^2 and, without the nonlinear term, the energy exactly, and
 rho_i = 0 is a regular point of it.  Momenta are circle-valued (each pi_i
 matters only modulo 2 pi); values are stored as given and
@@ -190,18 +193,41 @@ class HamiltonianSpec:
                 return vec.size
         return None
 
+    @cached_property
+    def realness_deviations(self) -> tuple[float, float]:
+        """Largest elementwise |kernel - kernel^H| and |linear_ket - conj(linear_bra)|.
+
+        The value is real at every point when both vanish; a missing term
+        counts as zero.
+        """
+        K = 0.0 if self.kernel is None else self.kernel
+        bra = 0.0 if self.linear_bra is None else self.linear_bra
+        ket = 0.0 if self.linear_ket is None else self.linear_ket
+        return float(np.max(np.abs(K - np.conj(K).T))), float(np.max(np.abs(ket - np.conj(bra))))
+
     def is_valid_real(self, tol: float = HERMITIAN_TOL) -> bool:
         """Whether the value is real for every point."""
-        if self.kernel is not None:
-            if float(np.max(np.abs(self.kernel - self.kernel.conj().T))) > tol:
-                return False
-        bra, ket = self.linear_bra, self.linear_ket
-        if bra is None and ket is None:
-            return True
-        size = bra.size if bra is not None else ket.size
-        bra = bra if bra is not None else np.zeros(size, dtype=complex)
-        ket = ket if ket is not None else np.zeros(size, dtype=complex)
-        return float(np.max(np.abs(ket - np.conj(bra)))) <= tol
+        return max(self.realness_deviations) <= tol
+
+    @cached_property
+    def psi_form(self) -> tuple[np.ndarray | None, np.ndarray | float, float]:
+        """(K, b, s) with dH/dconj(psi) = K psi + b + s |psi|^2 psi for the real part H.
+
+        K = (kernel + kernel^H)/2 is the Hermitian part of the kernel (the
+        kernel itself when it is exactly Hermitian; None without one),
+        b = linear_bra/2 + conj(linear_ket)/2 (0 without linear terms) and
+        s = 2 nonlinear_strength for either catalog tag (0 without one).
+        """
+        K = self.kernel
+        if K is not None and self.realness_deviations[0]:
+            K = readonly(0.5 * (K + K.conj().T), dtype=complex)
+        b = 0.0
+        if self.linear_bra is not None:
+            b = b + 0.5 * self.linear_bra
+        if self.linear_ket is not None:
+            b = b + 0.5 * np.conj(self.linear_ket)
+        s = 0.0 if self.nonlinear == "none" else 2.0 * self.nonlinear_strength
+        return K, b, s
 
     def require_valid_real(self) -> None:
         if not self.is_valid_real():
@@ -336,96 +362,54 @@ def _eval_complex(spec: HamiltonianSpec, rho: np.ndarray, pi: np.ndarray) -> com
 
 
 def _grad_arrays(spec: HamiltonianSpec, rho: np.ndarray, pi: np.ndarray):
-    """Complex formal gradients (d/drho, d/dpi) of the value.
+    """(dH/drho, dH/dpi) = (Re q / rho, 2 Im q) of the real part H of the
+    Hamiltonian, with q = conj(psi) (K psi + b) + s rho^2 from the psi-form.
 
-    Real parts are the gradients of the real part of the Hamiltonian, which
-    is the function every flow operation acts on.  Requires the interior.
+    q is formed in real arithmetic, so a fused multiply-add cannot leave a
+    rounding residue where the products cancel exactly.  Requires the interior.
     """
     require_interior(rho)
     _check_dim(spec, rho.size)
+    K, b, s = spec.psi_form
     psi = _psi_from(rho, pi)
-    dr = np.zeros(rho.size, dtype=complex)
-    dp = np.zeros(rho.size, dtype=complex)
-    if spec.kernel is not None:
-        right = np.conj(psi) * (spec.kernel @ psi)       # psi_k^* (K psi)_k
-        left = (spec.kernel.T @ np.conj(psi)) * psi      # (psi^* K)_k psi_k
-        dr += (right + left) / (2.0 * rho)
-        dp += -1j * (right - left)
-    if spec.linear_bra is not None:
-        u = np.conj(psi) * spec.linear_bra
-        dr += u / (2.0 * rho)
-        dp += -1j * u
-    if spec.linear_ket is not None:
-        w = spec.linear_ket * psi
-        dr += w / (2.0 * rho)
-        dp += 1j * w
-    if spec.nonlinear == "sum_rho_squared":
-        dr += 2.0 * spec.nonlinear_strength * rho
-    elif spec.nonlinear == "quartic_psi":
-        dr += 2.0 * spec.nonlinear_strength * (np.conj(psi) * psi).real
-    return dr, dp
+    f = b if K is None else K @ psi + b
+    re_q = psi.real * np.real(f) + psi.imag * np.imag(f) + s * rho * rho
+    im_q = psi.real * np.imag(f) - psi.imag * np.real(f)
+    return re_q / rho, 2.0 * im_q
 
 
 def _field_arrays(spec: HamiltonianSpec, rho: np.ndarray, pi: np.ndarray):
     """Hamilton's equations: (drho/dtau, dpi/dtau) = (dH/dpi, -dH/drho)."""
     dr, dp = _grad_arrays(spec, rho, pi)
-    return dp.real.copy(), -dr.real
+    return dp, -dr
 
 
 def _field_jacobian(spec: HamiltonianSpec, rho: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """Jacobian DV[a, b] = dV_a / dx_b of the flow field, a 2n x 2n matrix.
+    """Jacobian DV[a, b] = dV_a / dx_b of the flow field V = (2 Im q, -Re q / rho).
 
-    Differentiates the complex gradients of `_grad_arrays` once more through
-    the same chart rule (dpsi_k/drho_k = psi_k / (2 rho_k), dpsi_k/dpi_k =
-    i psi_k), giving DV = [[H_pi,rho, H_pi,pi], [-H_rho,rho, -H_rho,pi]].
-    Each block is assembled from its own gradient component, so the
-    symmetry of the Hessian is measured, not assumed.  Requires the interior.
+    With m_ab = conj(psi_a) K_ab psi_b and p = q - s rho^2, the chart rule
+    dpsi/drho = psi / (2 rho), dpsi/dpi = i psi gives
+    dq_a/drho_c = m_ac / (2 rho_c) + delta_ac (p_a / (2 rho_a) + 2 s rho_a) and
+    dq_a/dpi_c = i m_ac - i delta_ac p_a.  Each block is the derivative of its
+    own field component, not a block of one symmetric Hessian, so the
+    symmetry the symplectic residual compares is measured, not assumed.
+    Requires the interior.
     """
     require_interior(rho)
     _check_dim(spec, rho.size)
+    K, b, s = spec.psi_form
     n = rho.size
     psi = _psi_from(rho, pi)
-    half = 0.5 / rho  # d log|psi_k| / drho_k, the chart factor of both psi and conj(psi)
     diag = np.diag_indices(n)
-    # Derivatives of the complex gradients dr = dH/drho and dp = dH/dpi.
-    dr_rho = np.zeros((n, n), dtype=complex)
-    dr_pi = np.zeros((n, n), dtype=complex)
-    dp_rho = np.zeros((n, n), dtype=complex)
-    dp_pi = np.zeros((n, n), dtype=complex)
-    if spec.kernel is not None:
-        m = np.conj(psi)[:, None] * spec.kernel * psi        # m_ab = psi_a^* K_ab psi_b
-        right = m.sum(axis=1)                                 # psi_a^* (K psi)_a
-        left = m.sum(axis=0)                                  # (psi^* K)_a psi_a
-        right_rho = m * half
-        right_rho[diag] += right * half
-        left_rho = m.T * half
-        left_rho[diag] += left * half
-        right_pi = 1j * m
-        right_pi[diag] -= 1j * right
-        left_pi = -1j * m.T
-        left_pi[diag] += 1j * left
-        dr_rho += half[:, None] * (right_rho + left_rho)
-        dr_rho[diag] -= (right + left) * half / rho
-        dr_pi += half[:, None] * (right_pi + left_pi)
-        dp_rho += -1j * (right_rho - left_rho)
-        dp_pi += -1j * (right_pi - left_pi)
-    if spec.linear_bra is not None:
-        u = np.conj(psi) * spec.linear_bra
-        dr_rho[diag] -= u * half / (2.0 * rho)
-        dr_pi[diag] -= 1j * u * half
-        dp_rho[diag] -= 1j * u * half
-        dp_pi[diag] -= u
-    if spec.linear_ket is not None:
-        w = spec.linear_ket * psi
-        dr_rho[diag] -= w * half / (2.0 * rho)
-        dr_pi[diag] += 1j * w * half
-        dp_rho[diag] += 1j * w * half
-        dp_pi[diag] -= w
-    if spec.nonlinear == "sum_rho_squared":
-        dr_rho[diag] += 2.0 * spec.nonlinear_strength
-    elif spec.nonlinear == "quartic_psi":
-        dr_rho[diag] += 2.0 * spec.nonlinear_strength * (np.conj(psi) * psi).real / rho
-    return np.block([[dp_rho.real, dp_pi.real], [-dr_rho.real, -dr_pi.real]])
+    m = np.zeros((n, n), dtype=complex) if K is None else np.conj(psi)[:, None] * K * psi
+    p = m.sum(axis=1) + np.conj(psi) * b
+    q_rho = m * (0.5 / rho)
+    q_rho[diag] += p * (0.5 / rho) + 2.0 * s * rho
+    q_pi = 1j * m
+    q_pi[diag] -= 1j * p
+    dr_rho = q_rho.real / rho[:, None]  # d(Re q_a / rho_a) / drho_c
+    dr_rho[diag] -= (p.real + s * rho * rho) / rho**2
+    return np.block([[2.0 * q_rho.imag, 2.0 * q_pi.imag], [-dr_rho, -q_pi.real / rho[:, None]]])
 
 
 def eval_hamiltonian(spec: HamiltonianSpec, X: PhasePoint) -> tuple[float, float]:
@@ -446,8 +430,7 @@ def eval_hamiltonian(spec: HamiltonianSpec, X: PhasePoint) -> tuple[float, float
 
 def gradient(spec: HamiltonianSpec, X: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
     """(dH/drho, dH/dpi) of the real part H of the Hamiltonian at X."""
-    dr, dp = _grad_arrays(spec, X.rho, X.pi)
-    return dr.real.copy(), dp.real.copy()
+    return _grad_arrays(spec, X.rho, X.pi)
 
 
 def hamiltonian_vector_field(spec: HamiltonianSpec, X: PhasePoint) -> TangentVector:
@@ -478,7 +461,7 @@ def check_normalization_generator(spec: HamiltonianSpec, X: PhasePoint) -> float
     kernel, with or without the nonlinear catalog terms.
     """
     _, dp = _grad_arrays(spec, X.rho, X.pi)
-    return float(dp.real.sum())
+    return float(dp.sum())
 
 
 def integrate_midpoint(
@@ -492,9 +475,9 @@ def integrate_midpoint(
 ) -> Trajectory:
     """Integrate the flow of ``spec`` from ``X0`` with the implicit midpoint rule in psi.
 
-    In the chart the flow is dpsi/dtau = -i (K psi + b + g(psi)), with b the
-    linear term and g(psi) = 2 s |psi|^2 psi the nonlinear catalog term of
-    strength s.  The step psi1 = psi0 + h f((psi0 + psi1)/2) then reads
+    In the chart the flow is dpsi/dtau = -i (K psi + b + g(psi)), with
+    (K, b, s) the spec's psi-form and g(psi) = s |psi|^2 psi.  The step
+    psi1 = psi0 + h f((psi0 + psi1)/2) then reads
     psi1 = M psi0 + c + B g((psi0 + psi1)/2) with the Cayley map
     M = (I + i h K/2)^-1 (I - i h K/2), B = -i h (I + i h K/2)^-1 and c = B b,
     formed once from the eigendecomposition of K, which keeps M unitary to
@@ -514,8 +497,8 @@ def integrate_midpoint(
     steps = int(steps)
     n = X0.n
     _check_dim(spec, n)
-    kernel = np.zeros((n, n)) if spec.kernel is None else spec.kernel
-    w, V = HermitianOperator(kernel).eigh
+    K, b, s = spec.psi_form
+    w, V = HermitianOperator(np.zeros((n, n)) if K is None else K).eigh
     # In the eigenbasis of K, phi = V^H psi, M and B are the diagonals
     # `rotation` and `gain` and c is `shift`, so a step is elementwise and the
     # rounding of M does not accumulate along the trajectory the way a dense
@@ -523,15 +506,9 @@ def integrate_midpoint(
     denom = 1.0 + 0.5j * h * w
     rotation = (1.0 - 0.5j * h * w) / denom
     gain = -1j * h / denom
-    linear = np.zeros(n, dtype=complex)  # d(Re H)/d conj(psi) of the linear terms
-    if spec.linear_bra is not None:
-        linear += 0.5 * spec.linear_bra
-    if spec.linear_ket is not None:
-        linear += 0.5 * np.conj(spec.linear_ket)
     V_h = V.conj().T
-    shift = gain * (V_h @ linear)
-    cubic = 0.0 if spec.nonlinear == "none" else 2.0 * spec.nonlinear_strength
-    cubic_gain = cubic * gain
+    shift = gain * (V_h @ np.broadcast_to(b, n))
+    cubic_gain = s * gain
 
     def kick(phi_mid):
         """B g(psi) in the eigenbasis, for psi = V phi_mid."""
@@ -547,7 +524,7 @@ def integrate_midpoint(
             start = phi[k]
             affine = rotation * start + shift
             z = affine
-            if cubic:
+            if s:
                 z = affine + kick(start)
                 for _ in range(max_iter):
                     update = affine + kick(0.5 * (start + z))

@@ -31,7 +31,7 @@ from simplexflow import (
     to_complex,
 )
 from simplexflow.diagnostics import random_hermitian, sample_interior_points
-from simplexflow.flows import _field_arrays, _field_jacobian
+from simplexflow.flows import _eval_complex, _field_arrays, _field_jacobian
 
 from conftest import SIGMA_X, SIGMA_Z, spec_kinds
 
@@ -39,17 +39,20 @@ INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def fd_gradient(spec, X, h=1e-6):
-    """Independent oracle: central differences of the evaluated Hamiltonian."""
+    """Independent oracle: central differences of the real part of the
+    evaluated Hamiltonian."""
     n = X.n
     dr = np.empty(n)
     dp = np.empty(n)
+
+    def value(rho, pi):
+        return _eval_complex(spec, rho, pi).real
+
     for i in range(n):
         e = np.zeros(n)
         e[i] = h
-        dr[i] = (eval_hamiltonian(spec, PhasePoint(X.rho + e, X.pi))[0]
-                 - eval_hamiltonian(spec, PhasePoint(X.rho - e, X.pi))[0]) / (2 * h)
-        dp[i] = (eval_hamiltonian(spec, PhasePoint(X.rho, X.pi + e))[0]
-                 - eval_hamiltonian(spec, PhasePoint(X.rho, X.pi - e))[0]) / (2 * h)
+        dr[i] = (value(X.rho + e, X.pi) - value(X.rho - e, X.pi)) / (2 * h)
+        dp[i] = (value(X.rho, X.pi + e) - value(X.rho, X.pi - e)) / (2 * h)
     return dr, dp
 
 
@@ -161,19 +164,25 @@ class TestVectorField:
         assert_allclose(field.dpi, [-1.0, -1.0], rtol=1e-14)
 
     def test_gradient_against_finite_differences(self, rng):
-        bra = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        spec = HamiltonianSpec(
-            kernel=random_hermitian(3, rng),
-            linear_bra=bra,
-            linear_ket=np.conj(bra),
-            nonlinear="sum_rho_squared",
-            nonlinear_strength=0.4,
-        )
-        for point in sample_interior_points(3, 5, rng=rng):
-            dr, dp = gradient(spec, point)
-            fd_r, fd_p = fd_gradient(spec, point)
-            assert_allclose(dr, fd_r, atol=5e-8, rtol=1e-6)
-            assert_allclose(dp, fd_p, atol=5e-8, rtol=1e-6)
+        # Every spec kind, a kernel with a 1e-3 anti-Hermitian part (whose
+        # gradient is that of the real part of the value), and a
+        # dimension-free spec.
+        for n in (2, 3, 8):
+            bra = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            anti = random_hermitian(n, rng)
+            specs = spec_kinds(n, rng) + [
+                ("all_terms", HamiltonianSpec(kernel=random_hermitian(n, rng), linear_bra=bra,
+                                              linear_ket=np.conj(bra), nonlinear="sum_rho_squared",
+                                              nonlinear_strength=0.4)),
+                ("anti_hermitian", HamiltonianSpec(kernel=random_hermitian(n, rng) + 1e-3j * anti)),
+                ("dimension_free", HamiltonianSpec(nonlinear="sum_rho_squared", nonlinear_strength=0.7)),
+            ]
+            for point in sample_interior_points(n, 3, rng=rng):
+                for label, spec in specs:
+                    dr, dp = gradient(spec, point)
+                    fd_r, fd_p = fd_gradient(spec, point)
+                    assert_allclose(dr, fd_r, atol=5e-8, rtol=1e-6, err_msg=f"{label}, n = {n}")
+                    assert_allclose(dp, fd_p, atol=5e-8, rtol=1e-6, err_msg=f"{label}, n = {n}")
 
     def test_requires_real_spec(self):
         with pytest.raises(NotRealError):
@@ -206,8 +215,9 @@ def fd_field_jacobian(spec, X, rel_step=1e-6):
 class TestFieldJacobian:
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_matches_central_differences(self, n, rng):
+        dimension_free = ("dimension_free", HamiltonianSpec(nonlinear="quartic_psi", nonlinear_strength=0.7))
         for point in sample_interior_points(n, 2, rng=rng):
-            for label, spec in spec_kinds(n, rng):
+            for label, spec in spec_kinds(n, rng) + [dimension_free]:
                 exact = _field_jacobian(spec, point.rho, point.pi)
                 oracle = fd_field_jacobian(spec, point)
                 error = np.max(np.abs(exact - oracle)) / np.max(np.abs(oracle))

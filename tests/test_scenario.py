@@ -13,7 +13,6 @@ from click.testing import CliRunner
 import simplexflow
 from simplexflow import (
     ConfigError,
-    DiagnosticsReport,
     HamiltonianSpec,
     MetricParams,
     classify_flow,
@@ -439,27 +438,25 @@ class TestCheckRegistry:
 
 class TestEmitReport:
     def test_empty_check_list(self, tmp_path):
-        path = emit_report(DiagnosticsReport(scenario_id="empty"), tmp_path / "r.json")
-        data = json.loads(path.read_text())
-        assert data["checks"] == []
-        assert data["scenario_id"] == "empty"
-        assert "tool_version" in data
+        path = emit_report({"scenario_id": "empty", "checks": []}, tmp_path / "r.json")
+        assert json.loads(path.read_text()) == {"scenario_id": "empty", "checks": []}
 
     def test_rows_have_required_keys(self, tmp_path):
-        report = DiagnosticsReport(scenario_id="full")
-        report.add("alpha", 1e-9, 1e-6)
-        report.add("beta", 2.0, 1e-6)
-        data = json.loads(emit_report(report, tmp_path / "r.json").read_text())
+        rows = [{"name": "alpha", "residual": 1e-9, "tolerance": 1e-6, "pass": True},
+                {"name": "beta", "residual": 2.0, "tolerance": 1e-6, "pass": False}]
+        data = json.loads(emit_report({"checks": rows}, tmp_path / "r.json").read_text())
         for row in data["checks"]:
             assert set(row) == {"name", "residual", "tolerance", "pass"}
+        assert data["checks"] == rows
         assert data["checks"][0]["pass"] is True
         assert data["checks"][1]["pass"] is False
 
     def test_identical_bytes_for_identical_content(self, tmp_path):
-        report = DiagnosticsReport(scenario_id="same")
-        report.add("alpha", 1e-9, 1e-6)
-        first = emit_report(report, tmp_path / "a.json").read_bytes()
-        second = emit_report(report, tmp_path / "b.json").read_bytes()
+        row = {"name": "alpha", "residual": 1e-9, "tolerance": 1e-6, "pass": True}
+        first = emit_report({"scenario_id": "same", "checks": [row]}, tmp_path / "a.json").read_bytes()
+        # The same content inserted in another key order gives the same bytes.
+        second = emit_report({"checks": [dict(reversed(row.items()))], "scenario_id": "same"},
+                             tmp_path / "b.json").read_bytes()
         assert first == second
 
 
