@@ -14,7 +14,6 @@ from .diagnostics import (
     ab_independence_sweep,
     convergence_study,
     fs_consistency,
-    lie_derivative,
     lie_derivative_metric,
     lie_derivative_symplectic,
     random_hermitian,
@@ -70,7 +69,6 @@ from .hilbert import (
     from_complex,
     inner_product,
     propagate_unitary,
-    psi_tensors,
     superposition,
     to_complex,
 )
@@ -105,11 +103,11 @@ __all__ = [
     # hilbert
     "ComplexState", "HermitianOperator", "to_complex", "from_complex",
     "inner_product", "propagate_unitary", "commutator_identity_check",
-    "superposition", "psi_tensors",
+    "superposition",
     # diagnostics
     "ConvergenceStudy", "FsRatios",
     "FS_RATIO_CONSTANT", "DEFAULT_PARAM_FAMILIES", "sample_interior_points",
-    "random_hermitian", "lie_derivative", "lie_derivative_metric",
+    "random_hermitian", "lie_derivative_metric",
     "lie_derivative_symplectic", "fs_consistency", "ab_independence_sweep",
     "convergence_study",
     # scenario

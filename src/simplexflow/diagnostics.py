@@ -2,7 +2,9 @@
 
 Closed-form Lie derivatives of the phase-space metric and the symplectic
 form measure whether a flow is Hamiltonian, Killing, both, or neither
-(``scenario.classify_flow`` and the scenario checks read them); the
+(``scenario.classify_flow`` and the scenario checks read them).  Their
+products with Omega and G use the block structure of the two forms, and
+checks evaluated in turn at one point share its field Jacobian.  The
 midpoint integrator is checked for second-order convergence against the
 unitary propagator; and the ray metric is cross-checked against the
 arccos-overlap distance and swept over metric-coefficient families.
@@ -16,10 +18,10 @@ import numpy as np
 
 from .errors import NormalizationError, NotHermitianError, ParamError
 from .flows import (
+    HERMITIAN_TOL,
     HamiltonianSpec,
     PhasePoint,
     _field_arrays,
-    _field_jacobian,
     integrate_midpoint,
 )
 from .geometry import (
@@ -29,11 +31,9 @@ from .geometry import (
     as_vector,
     induced_metric_ts,
     phase_space_metric,
-    symplectic_matrix,
 )
 from .hilbert import (
     ComplexState,
-    HermitianOperator,
     from_complex,
     inner_product,
     propagate_unitary,
@@ -85,40 +85,14 @@ def sample_interior_points(
 
 
 def random_hermitian(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """Random Hermitian matrix with Gaussian real and imaginary parts."""
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return scale * 0.5 * (a + a.conj().T)
-
-
-def lie_derivative(field_fn, tensor_fn, x, fd_step: float = 1e-4, *, richardson: bool = True) -> np.ndarray:
-    """Lie derivative of a covariant 2-tensor along a vector field, by finite differences.
-
-    (L_V T)_ab = V^c d_c T_ab + T_cb d_a V^c + T_ac d_b V^c, with every
-    derivative taken by central differences.  With ``richardson`` the h and
-    h/2 evaluations are combined to cancel the quadratic truncation term.
-    Costs 4 (2n) tensor and field evaluations and a dense (2n)^3 array, so it
-    serves as the reference oracle for the closed forms below at small n.
-    """
-    if not (1e-6 <= fd_step <= 1e-3):
-        raise ValueError(f"fd_step must lie in [1e-6, 1e-3], got {fd_step:g}")
-    x = np.asarray(x, dtype=float)
-
-    def single(h: float) -> np.ndarray:
-        m = x.size
-        T = np.asarray(tensor_fn(x), dtype=float)
-        V = np.asarray(field_fn(x), dtype=float)
-        dT = np.empty((m, m, m))
-        dV = np.empty((m, m))
-        for c in range(m):
-            e = np.zeros(m)
-            e[c] = h
-            dT[c] = (np.asarray(tensor_fn(x + e)) - np.asarray(tensor_fn(x - e))) / (2.0 * h)
-            dV[c] = (np.asarray(field_fn(x + e)) - np.asarray(field_fn(x - e))) / (2.0 * h)
-        return np.tensordot(V, dT, axes=1) + dV @ T + T @ dV.T
-
-    if richardson:
-        return (4.0 * single(0.5 * fd_step) - single(fd_step)) / 3.0
-    return single(fd_step)
+    """Random Hermitian matrix with Gaussian real and imaginary parts: the
+    Hermitian part (x + x^T)/2 + i (y - y^T)/2 of x + i y, x drawn first."""
+    x = rng.standard_normal((n, n))
+    y = rng.standard_normal((n, n))
+    out = np.empty((n, n), dtype=complex)
+    out.real = scale * 0.5 * (x + x.T)
+    out.imag = scale * 0.5 * (y - y.T)
+    return out
 
 
 def lie_derivative_metric(
@@ -131,7 +105,8 @@ def lie_derivative_metric(
 
     Closed form: DV is the field Jacobian and V.dG the exact directional
     derivative of G = blockdiag(g, g^{-1}), so the residual is exact up to
-    rounding at every n.  A Hermitian-kernel flow is Killing where
+    rounding at every n.  G is symmetric, so G DV = (DV^T G)^T, and DV^T G
+    is formed block by block.  A Hermitian-kernel flow is Killing where
     B(|rho|) = 1.  For a |rho|-dependent B with B(1) = 1 that is only the
     normalized surface |rho| = 1, and off it the residual is of order one;
     for the constant B = 1 it holds everywhere.  The nonlinear catalog
@@ -139,10 +114,13 @@ def lie_derivative_metric(
     """
     n = X.n
     metric = phase_space_metric(X.rho, params)
-    jac = _field_jacobian(spec, X.rho, X.pi)
+    jac = spec._jacobian_at(X)
     v_rho, _ = _field_arrays(spec, X.rho, X.pi)
     dg, dg_inv = _metric_blocks_derivative(X.rho, v_rho, params, metric.momentum_block)
-    residual = jac.T @ metric.G + metric.G @ jac
+    S = np.empty((2 * n, 2 * n))
+    np.matmul(jac[:n].T, metric.coordinate_block, out=S[:, :n])
+    np.matmul(jac[n:].T, metric.momentum_block, out=S[:, n:])
+    residual = S + S.T
     residual[:n, :n] += dg
     residual[n:, n:] += dg_inv
     return residual
@@ -153,11 +131,17 @@ def lie_derivative_symplectic(spec: HamiltonianSpec, X: PhasePoint) -> np.ndarra
 
     Zero up to rounding for every Hamiltonian flow, gauge-invariant or not,
     since the field is a symplectic gradient: the residual compares Hessian
-    blocks that the field Jacobian assembles separately.
+    blocks that the field Jacobian assembles separately.  Omega =
+    [[0, I], [-I, 0]] is a signed block permutation, so DV^T Omega =
+    [-DV_pi^T, DV_rho^T] (DV_rho, DV_pi its row blocks) is a copy, and
+    Omega DV is minus its transpose.
     """
-    omega = symplectic_matrix(X.n).Omega
-    jac = _field_jacobian(spec, X.rho, X.pi)
-    return jac.T @ omega + omega @ jac
+    n = X.n
+    jac = spec._jacobian_at(X)
+    S = np.empty((2 * n, 2 * n))
+    np.negative(jac[n:].T, out=S[:, :n])
+    S[:, n:] = jac[:n].T
+    return S - S.T
 
 
 @dataclass(frozen=True)
@@ -263,11 +247,11 @@ def convergence_study(spec: HamiltonianSpec, X0: PhasePoint, h_list, tau_total: 
     The Hamiltonian must be a pure Hermitian kernel (a constant offset is
     allowed; it does not move the flow), since the oracle is exp(-i K tau).
     """
-    if spec.kernel is None:
+    if spec.kernel is None or spec.realness_deviations[0] > HERMITIAN_TOL:
         raise NotHermitianError("a Hermitian kernel is required for the unitary oracle")
     if spec.linear_bra is not None or spec.linear_ket is not None or spec.nonlinear != "none":
         raise ValueError("the unitary oracle applies to pure-kernel Hamiltonians only")
-    K = HermitianOperator(spec.kernel)
+    K = spec.hermitian_part
     psi0 = to_complex(X0)
     rows: list[dict] = []
     errors: list[float] = []

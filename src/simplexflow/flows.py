@@ -22,6 +22,7 @@ domain when needed.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,7 +39,9 @@ from .geometry import NORM_TOL, as_vector, readonly, require_interior
 
 TWO_PI = 2.0 * np.pi
 
-#: Imaginary residue above which a Hamiltonian value is rejected as non-real.
+#: Imaginary residue above which eval_hamiltonian raises NotRealError.  Looser
+#: than the realness row's scenario.REALNESS_TOL: a kernel accepted within
+#: HERMITIAN_TOL leaves up to about n * HERMITIAN_TOL / 2, which must not abort.
 REAL_TOL = 1e-9
 
 #: Elementwise tolerance for kernel Hermiticity and linear-term conjugacy.
@@ -136,6 +139,12 @@ def _as_complex_vector(values, name: str, n: int | None = None) -> np.ndarray:
     return arr
 
 
+def _hermitian_deviation(m: np.ndarray) -> float:
+    """Largest elementwise |m - m^H|, formed as |conj(m) - m^T| (the same
+    moduli, transposed), which is several times faster."""
+    return float(np.max(np.abs(m.conj() - m.T)))
+
+
 @dataclass(frozen=True)
 class HamiltonianSpec:
     """A Hamiltonian function on phase space.
@@ -200,10 +209,10 @@ class HamiltonianSpec:
         The value is real at every point when both vanish; a missing term
         counts as zero.
         """
-        K = 0.0 if self.kernel is None else self.kernel
         bra = 0.0 if self.linear_bra is None else self.linear_bra
         ket = 0.0 if self.linear_ket is None else self.linear_ket
-        return float(np.max(np.abs(K - np.conj(K).T))), float(np.max(np.abs(ket - np.conj(bra))))
+        kernel_deviation = 0.0 if self.kernel is None else _hermitian_deviation(self.kernel)
+        return kernel_deviation, float(np.max(np.abs(ket - np.conj(bra))))
 
     def is_valid_real(self, tol: float = HERMITIAN_TOL) -> bool:
         """Whether the value is real for every point."""
@@ -228,6 +237,25 @@ class HamiltonianSpec:
             b = b + 0.5 * np.conj(self.linear_ket)
         s = 0.0 if self.nonlinear == "none" else 2.0 * self.nonlinear_strength
         return K, b, s
+
+    @cached_property
+    def hermitian_part(self) -> HermitianOperator | None:
+        """K of the psi-form as a HermitianOperator (None without a kernel),
+        built once, so every user of the spec shares one eigendecomposition."""
+        K = self.psi_form[0]
+        return None if K is None else HermitianOperator(K)
+
+    def _jacobian_at(self, X: PhasePoint) -> np.ndarray:
+        """Read-only field Jacobian at X.  The spec keeps the one of its latest
+        point (matched by identity) until that point is freed, so checks
+        evaluated in turn at one point share it and no more than one is held."""
+        point, jac = self.__dict__.get("_last_jacobian", (None, None))
+        if point is None or point() is not X:
+            jac = _field_jacobian(self, X.rho, X.pi)
+            jac.setflags(write=False)
+            memo = self.__dict__
+            memo["_last_jacobian"] = (weakref.ref(X, lambda _: memo.pop("_last_jacobian", None)), jac)
+        return jac
 
     def require_valid_real(self) -> None:
         if not self.is_valid_real():
@@ -255,7 +283,7 @@ class HermitianOperator:
             raise DimensionError(f"matrix must be square, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix has non-finite entries")
-        deviation = float(np.max(np.abs(m - m.conj().T)))
+        deviation = _hermitian_deviation(m)
         if deviation > HERMITIAN_TOL:
             raise NotHermitianError(f"matrix deviates from Hermitian by {deviation:.3e}")
         object.__setattr__(self, "matrix", readonly(m, dtype=complex))
@@ -480,10 +508,10 @@ def integrate_midpoint(
     psi1 = psi0 + h f((psi0 + psi1)/2) then reads
     psi1 = M psi0 + c + B g((psi0 + psi1)/2) with the Cayley map
     M = (I + i h K/2)^-1 (I - i h K/2), B = -i h (I + i h K/2)^-1 and c = B b,
-    formed once from the eigendecomposition of K, which keeps M unitary to
-    rounding.  Without a nonlinear term the step is that affine map.  With
-    one, the cubic term is solved by fixed-point iteration from the explicit
-    predictor; ConvergenceError is raised when an update is still above
+    formed from the eigendecomposition of K (``spec.hermitian_part``), which
+    keeps M unitary to rounding.  Without a nonlinear term the step is that
+    affine map.  With one, the cubic term is solved by fixed-point iteration
+    from the explicit predictor; ConvergenceError is raised when an update is still above
     ``tol`` after ``max_iter`` sweeps, or at the first sweep whose update is
     not finite.  rho_i = 0 is a regular point of the chart, so a flow passes
     through the simplex boundary.  Records the normalization defect
@@ -497,8 +525,8 @@ def integrate_midpoint(
     steps = int(steps)
     n = X0.n
     _check_dim(spec, n)
-    K, b, s = spec.psi_form
-    w, V = HermitianOperator(np.zeros((n, n)) if K is None else K).eigh
+    _, b, s = spec.psi_form
+    w, V = (spec.hermitian_part or HermitianOperator(np.zeros((n, n)))).eigh
     # In the eigenbasis of K, phi = V^H psi, M and B are the diagonals
     # `rotation` and `gain` and c is `shift`, so a step is elementwise and the
     # rounding of M does not accumulate along the trajectory the way a dense

@@ -4,7 +4,9 @@ States live in the chart psi_i = sqrt(rho_i) exp(i pi_i).  The inner product
 is the standard sum conj(psi_i) phi_i, which the constant chart tensors
 (G + i Omega)/2 reproduce; Hermitian kernels propagate states by the
 matrix exponential exp(-i K tau), evaluated through the eigendecomposition so
-the accuracy is uniform in tau.
+the accuracy is uniform in tau.  The bracket identity
+{U~, V~} = -i <psi|[U, V]|psi> compares the (rho, pi) Poisson bracket with
+its right side 2 Im <U psi|V psi>, which needs no matrix product.
 """
 
 from __future__ import annotations
@@ -75,23 +77,6 @@ def from_complex(state: ComplexState) -> tuple[PhasePoint, np.ndarray]:
     return PhasePoint(rho, pi), readonly(undefined, dtype=bool)
 
 
-def psi_tensors(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Constant chart tensors (G, Omega, J), blocks ordered (psi, i conj(psi)).
-
-    G = -i [[0, I], [I, 0]], Omega = [[0, I], [-I, 0]] (the same pattern as in
-    real coordinates: the chart is a canonical transformation), and
-    J = diag(i I, -i I) with J J = -identity exactly.
-    """
-    if n < 1:
-        raise DimensionError(f"n must be >= 1, got {n}")
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    G = -1j * np.block([[zero, eye], [eye, zero]])
-    omega = np.block([[zero, eye], [-eye, zero]])
-    J = np.block([[1j * eye, zero], [zero, -1j * eye]])
-    return readonly(G, dtype=complex), readonly(omega), readonly(J, dtype=complex)
-
-
 def inner_product(psi: ComplexState, phi: ComplexState) -> complex:
     """<psi|phi> = sum conj(psi_i) phi_i, anti-linear in the first argument.
 
@@ -122,16 +107,16 @@ def commutator_identity_check(
     """Both sides of {U~, V~} = -i <psi|[U, V]|psi> at psi.
 
     The left side is the Poisson bracket of the induced bilinear Hamiltonians
-    at the real-coordinate image of psi; the right side is real because the
-    commutator of Hermitian operators is anti-Hermitian.  The two agree
-    identically, so the difference is pure rounding.
+    at the real-coordinate image of psi.  The right side is real because the
+    commutator of Hermitian operators is anti-Hermitian: with
+    z = <U psi|V psi> it is -i (z - conj(z)) = 2 Im z, two matrix-vector
+    products.  The two agree identically, so the difference is pure rounding.
     """
     point, _ = from_complex(psi)
     lhs = poisson_bracket(
         HamiltonianSpec(kernel=U.matrix), HamiltonianSpec(kernel=V.matrix), point
     )
-    comm = U.matrix @ V.matrix - V.matrix @ U.matrix
-    rhs = float((-1j * np.vdot(psi.psi, comm @ psi.psi)).real)
+    rhs = 2.0 * float(np.vdot(U.matrix @ psi.psi, V.matrix @ psi.psi).imag)
     return lhs, rhs
 
 

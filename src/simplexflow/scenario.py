@@ -54,7 +54,8 @@ from .hilbert import (
 SCHEMA_VERSION = 1
 
 #: Tolerances of the check rows; the CHECKS registry below and classify_flow
-#: read them, and the README check table quotes them.
+#: read them, and the README check table quotes them.  REALNESS_TOL is
+#: rounding level, tighter than flows.REAL_TOL, where evaluation raises.
 REALNESS_TOL = 1e-12
 NORMALIZATION_TOL = 1e-12
 SYMPLECTIC_TOL = 1e-8
@@ -478,25 +479,42 @@ def _single_interior_point(n: int, rng: np.random.Generator) -> PhasePoint:
 
 @dataclass(frozen=True)
 class Check:
-    """A registered check: its seeded stream id, the tolerance of each row it
-    reports, and ``residuals(config, trajectory, extras)``, which returns
-    {row name: residual} and may add report keys to ``extras``.  A sampled
-    check also keeps its per-point residual ``at(spec, X, params)``."""
+    """A registered check: its seeded stream id and the tolerance of each row
+    it reports.  A check has either ``residuals(config, trajectory, extras)``,
+    which returns {row name: residual} and may add report keys to
+    ``extras``, or, for a one-row sampled check, the per-point residual
+    ``at(spec, X, params)``, whose max over the sample points is the row."""
 
     stream: int
     tolerances: dict[str, float]
-    residuals: Callable[[ScenarioConfig, Trajectory, dict], dict[str, float]]
+    residuals: Callable[[ScenarioConfig, Trajectory, dict], dict[str, float]] | None = None
     at: Callable[[HamiltonianSpec, PhasePoint, MetricParams], float] | None = None
 
 
-def _sampled(stream: int, name: str, tolerance: float, at) -> Check:
-    """A one-row check: the max of ``at`` over the scenario's sample points."""
+def _sampled_maxima(spec, points, params, names) -> dict[str, float | SimplexFlowError]:
+    """Max of each named sampled check's ``at`` over ``points``, point by point
+    so that the checks at one point share its field Jacobian.  A check that
+    raises keeps its first error in place of a value and is not run again."""
+    maxima: dict[str, float | SimplexFlowError] = {}
+    for X in points:
+        for name in names:
+            current = maxima.get(name)
+            if isinstance(current, SimplexFlowError):
+                continue
+            try:
+                value = CHECKS[name].at(spec, X, params)
+            except SimplexFlowError as exc:
+                maxima[name] = exc
+                continue
+            maxima[name] = value if current is None else max(current, value)
+    return maxima
 
-    def residuals(config, trajectory, extras):
-        points = _scenario_points(config)
-        return {name: max(at(config.hamiltonian, X, config.metric_params) for X in points)}
 
-    return Check(stream, {name: tolerance}, residuals, at)
+def _value(residual: float | SimplexFlowError) -> float:
+    """A residual of _sampled_maxima as a float; a recorded error is raised."""
+    if isinstance(residual, SimplexFlowError):
+        raise residual
+    return float(residual)
 
 
 def _max_abs(values) -> float:
@@ -504,8 +522,11 @@ def _max_abs(values) -> float:
 
 
 def _complex_structure_at(spec, X, params):
+    # J = [[0, -g^-1], [g, 0]], so J J + 1 = blockdiag(1 - g^-1 g, 1 - g g^-1).
     J = complex_structure(X.rho, params).J
-    return _max_abs(J @ J + np.eye(2 * X.n))
+    n = X.n
+    eye = np.eye(n)
+    return max(_max_abs(J[:n, n:] @ J[n:, :n] + eye), _max_abs(J[n:, :n] @ J[:n, n:] + eye))
 
 
 def _conservation(config, trajectory, extras):
@@ -564,7 +585,7 @@ def _fs_consistency(config, trajectory, extras):
 
 def _gauge_born(config, trajectory, extras):
     rng = _check_rng(config, "gauge_born")
-    K = HermitianOperator(config.hamiltonian.kernel)
+    K = config.hamiltonian.hermitian_part
     psi0 = to_complex(config.initial)
     taus = rng.uniform(0.1, 2.0, 4)
     nus = rng.uniform(0.0, 2.0 * np.pi, 3)
@@ -584,15 +605,15 @@ def _gauge_born(config, trajectory, extras):
 #: The check registry, in the order of the README check table.  Stream ids
 #: are fixed, so seeded draws do not depend on the order of a scenario's checks.
 CHECKS = {
-    "realness": _sampled(1, "realness", REALNESS_TOL,
-                         lambda spec, X, params: abs(_eval_complex(spec, X.rho, X.pi).imag)),
-    "normalization": _sampled(2, "normalization", NORMALIZATION_TOL,
-                              lambda spec, X, params: abs(check_normalization_generator(spec, X))),
-    "symplectic": _sampled(3, "symplectic", SYMPLECTIC_TOL,
-                           lambda spec, X, params: _max_abs(lie_derivative_symplectic(spec, X))),
-    "metric": _sampled(4, "metric", METRIC_TOL,
-                       lambda spec, X, params: _max_abs(lie_derivative_metric(spec, X, params=params))),
-    "complex_structure": _sampled(5, "complex_structure", COMPLEX_STRUCTURE_TOL, _complex_structure_at),
+    "realness": Check(1, {"realness": REALNESS_TOL},
+                      at=lambda spec, X, params: abs(_eval_complex(spec, X.rho, X.pi).imag)),
+    "normalization": Check(2, {"normalization": NORMALIZATION_TOL},
+                           at=lambda spec, X, params: abs(check_normalization_generator(spec, X))),
+    "symplectic": Check(3, {"symplectic": SYMPLECTIC_TOL},
+                        at=lambda spec, X, params: _max_abs(lie_derivative_symplectic(spec, X))),
+    "metric": Check(4, {"metric": METRIC_TOL},
+                    at=lambda spec, X, params: _max_abs(lie_derivative_metric(spec, X, params=params))),
+    "complex_structure": Check(5, {"complex_structure": COMPLEX_STRUCTURE_TOL}, at=_complex_structure_at),
     "conservation": Check(6, {"conservation.norm_defect": NORM_DEFECT_TOL,
                               "conservation.energy_defect": ENERGY_DEFECT_TOL}, _conservation),
     "convergence": Check(7, {"convergence.order": CONVERGENCE_ORDER_TOL,
@@ -643,11 +664,12 @@ def classify_flow(spec: HamiltonianSpec, sample_points) -> FlowClassification:
     points = list(sample_points)
     if not points:
         raise ValueError("at least one sample point is required")
+    names = ("symplectic", "metric", "normalization", "realness")
+    maxima = _sampled_maxima(spec, points, CANONICAL_PARAMS, names)
     fields = []
-    for name in ("symplectic", "metric", "normalization", "realness"):
-        check = CHECKS[name]
-        residual = float(max(check.at(spec, X, CANONICAL_PARAMS) for X in points))
-        fields += [residual <= check.tolerances[name], residual]
+    for name in names:
+        residual = _value(maxima[name])
+        fields += [residual <= CHECKS[name].tolerances[name], residual]
     return FlowClassification(*fields)
 
 
@@ -682,13 +704,19 @@ def run_scenario(config: ScenarioConfig, *, out_dir=None, seed_override: int | N
     except SimplexFlowError as exc:
         return numeric_error(exc, [], None)
     write_trajectory_csv(trajectory, trajectory_path)
+    sampled = dict.fromkeys(request.name for request in cfg.checks if CHECKS[request.name].at)
+    maxima = _sampled_maxima(cfg.hamiltonian, _scenario_points(cfg) if sampled else [], cfg.metric_params,
+                             sampled)
     rows: list[dict] = []
     extras: dict = {}
     all_ok = True
     for request in cfg.checks:
         check = CHECKS[request.name]
         try:
-            residuals = check.residuals(cfg, trajectory, extras)
+            if check.at is None:
+                residuals = check.residuals(cfg, trajectory, extras)
+            else:
+                residuals = {request.name: _value(maxima[request.name])}
         except SimplexFlowError as exc:
             return numeric_error(exc, rows, trajectory_path, check=request.name)
         for name, residual in residuals.items():

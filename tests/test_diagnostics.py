@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from simplexflow import (
+    CANONICAL_PARAMS,
     DEFAULT_PARAM_FAMILIES,
     FS_RATIO_CONSTANT,
     HamiltonianSpec,
@@ -14,7 +15,6 @@ from simplexflow import (
     convergence_study,
     embedding_length,
     fs_consistency,
-    lie_derivative,
     lie_derivative_metric,
     lie_derivative_symplectic,
     phase_space_metric,
@@ -22,10 +22,11 @@ from simplexflow import (
     to_complex,
 )
 from simplexflow.diagnostics import random_hermitian, sample_interior_points
-from simplexflow.flows import _field_arrays
+from simplexflow.flows import _field_arrays, _field_jacobian
+from simplexflow.geometry import _metric_blocks_derivative
 from simplexflow.scenario import CONVERGENCE_EXACT_TOL, CONVERGENCE_ORDER_TOL
 
-from conftest import SIGMA_X, SIGMA_Z, spec_kinds
+from conftest import SIGMA_X, SIGMA_Z, lie_derivative, spec_kinds
 
 CONTROL = HamiltonianSpec(kernel=np.zeros((2, 2)), nonlinear="sum_rho_squared")
 
@@ -121,6 +122,48 @@ class TestLieDerivativeMetric:
                 assert residual <= 1e-12, params
             else:
                 assert residual > 0.1, params
+
+
+def dense_lie_derivatives(spec, X, params):
+    """(jac^T Omega + Omega jac, jac^T G + G jac + (dg, dg^-1), max |jac^T G|):
+    the dense products that the block forms replace, and their scale."""
+    n = X.n
+    jac = _field_jacobian(spec, X.rho, X.pi)
+    omega = symplectic_matrix(n).Omega
+    G = phase_space_metric(X.rho, params).G
+    v_rho, _ = _field_arrays(spec, X.rho, X.pi)
+    dg, dg_inv = _metric_blocks_derivative(X.rho, v_rho, params, G[n:, n:])
+    metric = jac.T @ G + G @ jac
+    metric[:n, :n] += dg
+    metric[n:, n:] += dg_inv
+    return jac.T @ omega + omega @ jac, metric, np.max(np.abs(jac.T @ G))
+
+
+class TestBlockProducts:
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_lie_derivatives_match_the_dense_products(self, n, rng):
+        # Bit-equal under the diagonal canonical metric, where every dense
+        # sum has one nonzero term; rounding-level otherwise.
+        for label, spec in spec_kinds(n, rng):
+            for X in sample_interior_points(n, 2, rng=rng):
+                for params in DEFAULT_PARAM_FAMILIES:
+                    dense_omega, dense_g, scale = dense_lie_derivatives(spec, X, params)
+                    assert np.array_equal(lie_derivative_symplectic(spec, X), dense_omega), label
+                    residual = lie_derivative_metric(spec, X, params=params)
+                    if params == CANONICAL_PARAMS:
+                        assert np.array_equal(residual, dense_g), label
+                    else:
+                        assert np.max(np.abs(residual - dense_g)) <= 1e-12 * scale, (label, params)
+
+    def test_random_hermitian_matches_the_hermitian_part_of_the_draws(self):
+        # The same seeded stream gives the same matrices as 0.5 (a + a^H)
+        # with a = x + i y, x drawn first.
+        for seed in range(3):
+            new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for n, scale in ((1, 1.0), (2, 1.0), (5, 0.3), (32, 2.0), (128, 1.0)):
+                a = old_rng.standard_normal((n, n)) + 1j * old_rng.standard_normal((n, n))
+                assert np.array_equal(random_hermitian(n, new_rng, scale), scale * 0.5 * (a + a.conj().T))
+            assert new_rng.bit_generator.state == old_rng.bit_generator.state
 
 
 class TestLieDerivativeSymplectic:

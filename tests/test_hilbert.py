@@ -14,14 +14,13 @@ from simplexflow import (
     hamiltonian_vector_field,
     inner_product,
     propagate_unitary,
-    psi_tensors,
     superposition,
     symplectic_matrix,
     to_complex,
 )
 from simplexflow.diagnostics import random_hermitian, sample_interior_points
 
-from conftest import SIGMA_X, SIGMA_Z
+from conftest import SIGMA_X, SIGMA_Z, psi_tensors
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -211,6 +210,17 @@ class TestCommutatorIdentity:
             psi = to_complex(sample_interior_points(4, 1, rng=rng, include_barycenter=False)[0])
             lhs, rhs = commutator_identity_check(U, V, psi)
             assert abs(lhs - rhs) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 8, 32, 128])
+    def test_right_side_matches_the_dense_commutator(self, n, rng):
+        # The O(n^2) right side 2 Im <U psi|V psi> against -i <psi|[U, V]|psi>.
+        for _ in range(5):
+            U = random_hermitian(n, rng)
+            V = random_hermitian(n, rng)
+            psi = to_complex(sample_interior_points(n, 1, rng=rng, include_barycenter=False)[0])
+            _, rhs = commutator_identity_check(HermitianOperator(U), HermitianOperator(V), psi)
+            dense = (-1j * np.vdot(psi.psi, (U @ V - V @ U) @ psi.psi)).real
+            assert abs(rhs - dense) <= 1e-12, n
 
 
 class TestSuperposition:

@@ -12,10 +12,13 @@ from click.testing import CliRunner
 
 import simplexflow
 from simplexflow import (
+    CANONICAL_PARAMS,
+    DEFAULT_PARAM_FAMILIES,
     ConfigError,
     HamiltonianSpec,
     MetricParams,
     classify_flow,
+    complex_structure,
     config_from_dict,
     emit_report,
     integrate_midpoint,
@@ -24,6 +27,7 @@ from simplexflow import (
     validate_config,
     write_trajectory_csv,
 )
+import simplexflow.flows as flows
 from simplexflow.cli import main as cli_main
 from simplexflow.diagnostics import random_hermitian, sample_interior_points
 from simplexflow.scenario import CHECKS, _scenario_points
@@ -426,14 +430,60 @@ class TestCheckRegistry:
 
     def test_readme_example_rows_are_unchanged(self, tmp_path):
         example = readme_example()
-        example["checks"] = [
-            "realness", "normalization", "symplectic", "metric", "complex_structure", "conservation",
-            "convergence", "bracket_commutator", "ab_independence", "fs_consistency", "gauge_born",
-        ]
+        example["checks"] = list(CHECKS)
         result = run_scenario(config_from_dict(example), out_dir=tmp_path)
         keys = ("check", "name", "tolerance", "pass", "expect_pass", "ok")
         assert [tuple(row[k] for k in keys) for row in result.report["checks"]] == README_ROWS
         assert result.exit_code == 0
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_complex_structure_row_matches_the_dense_product(self, n, rng):
+        for X in sample_interior_points(n, 2, rng=rng):
+            for params in DEFAULT_PARAM_FAMILIES:
+                J = complex_structure(X.rho, params).J
+                dense = float(np.max(np.abs(J @ J + np.eye(2 * n))))
+                blocks = CHECKS["complex_structure"].at(None, X, params)
+                if params == CANONICAL_PARAMS:
+                    assert blocks == dense
+                else:
+                    assert abs(blocks - dense) <= 1e-12, params
+
+    def test_one_field_jacobian_per_sample_point(self, monkeypatch, tmp_path):
+        calls = []
+        build = flows._field_jacobian
+        monkeypatch.setattr(flows, "_field_jacobian", lambda *args: calls.append(1) or build(*args))
+        cfg = config_from_dict(qubit_config(checks=["symplectic", "realness", "metric"]))
+        assert run_scenario(cfg, out_dir=tmp_path).exit_code == 0
+        assert len(calls) == len(_scenario_points(cfg)) == 9
+        assert "_last_jacobian" not in cfg.hamiltonian.__dict__  # freed with the points
+        calls.clear()
+        classify_flow(cfg.hamiltonian, _scenario_points(cfg))
+        assert len(calls) == 9
+
+    def test_one_eigendecomposition_per_kernel(self, monkeypatch, tmp_path):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *args: calls.append(1) or eigh(*args))
+        example = readme_example()
+        example["checks"] = list(CHECKS)
+        assert run_scenario(config_from_dict(example), out_dir=tmp_path).exit_code == 0
+        assert len(calls) == 1
+
+    def test_a_sampled_check_error_names_its_check_and_keeps_earlier_rows(self, tmp_path):
+        # A = -B/2 makes the metric singular on the normalized surface, so
+        # metric and complex_structure raise at every point.  The sampled
+        # checks are evaluated point by point, but the error belongs to the
+        # first failing check in request order, after the rows before it.
+        cfg = config_from_dict(qubit_config(
+            metric_params={"a_coeffs": [-0.5], "b_coeffs": [1.0]},
+            checks=["realness", "conservation", "symplectic", "metric", "complex_structure"],
+        ))
+        result = run_scenario(cfg, out_dir=tmp_path)
+        assert result.exit_code == 2
+        assert result.report["error"]["type"] == "SingularError"
+        assert result.report["error"]["check"] == "metric"
+        assert [row["name"] for row in result.report["checks"]] == [
+            "realness", "conservation.norm_defect", "conservation.energy_defect", "symplectic"]
 
 
 class TestEmitReport:
