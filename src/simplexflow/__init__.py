@@ -34,7 +34,6 @@ from .errors import (
 from .flows import (
     HamiltonianSpec,
     PhasePoint,
-    TangentVector,
     Trajectory,
     bracket_from_gradients,
     check_normalization_generator,
@@ -49,11 +48,7 @@ from .flows import (
 from .geometry import (
     CANONICAL_PARAMS,
     EPS_FLOOR,
-    ComplexStructure,
-    InfoMetric,
     MetricParams,
-    PhaseSpaceMetric,
-    SymplecticMatrix,
     complex_structure,
     embedding_length,
     induced_metric_ts,
@@ -91,12 +86,11 @@ __all__ = [
     "DimensionError", "NormalizationError", "NotRealError", "NotHermitianError",
     "ConvergenceError", "ConfigError",
     # geometry
-    "EPS_FLOOR", "MetricParams", "CANONICAL_PARAMS", "InfoMetric",
-    "PhaseSpaceMetric", "SymplecticMatrix", "ComplexStructure", "info_metric",
+    "EPS_FLOOR", "MetricParams", "CANONICAL_PARAMS", "info_metric",
     "phase_space_metric", "symplectic_matrix", "symplectic_eval",
     "complex_structure", "embedding_length", "induced_metric_ts",
     # flows
-    "PhasePoint", "TangentVector", "HamiltonianSpec", "Trajectory",
+    "PhasePoint", "HamiltonianSpec", "Trajectory",
     "circle_difference", "eval_hamiltonian", "gradient",
     "hamiltonian_vector_field", "bracket_from_gradients", "poisson_bracket",
     "check_normalization_generator", "integrate_midpoint", "gauge_canonicalize",

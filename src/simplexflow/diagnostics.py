@@ -7,7 +7,7 @@ products with Omega and G use the block structure of the two forms, and
 checks evaluated in turn at one point share its field Jacobian.  The
 midpoint integrator is checked for second-order convergence against the
 unitary propagator; and the ray metric is cross-checked against the
-arccos-overlap distance and swept over metric-coefficient families.
+Fubini-Study angle and swept over metric-coefficient families.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .hilbert import (
     to_complex,
 )
 
-#: Limit of ray-metric / arccos-overlap^2 for B(1) = 1; measured by the
+#: Limit of ray metric / squared Fubini-Study angle for B(1) = 1; measured by the
 #: brute-force oracle in the test suite and frozen here as a regression value.
 FS_RATIO_CONSTANT = 2.0
 
@@ -113,13 +113,14 @@ def lie_derivative_metric(
     terms leave a mixed-block residual -4 rho_i delta_ij per unit strength.
     """
     n = X.n
-    metric = phase_space_metric(X.rho, params)
+    G = phase_space_metric(X.rho, params)
+    g, g_inv = G[:n, :n], G[n:, n:]
     jac = spec._jacobian_at(X)
     v_rho, _ = _field_arrays(spec, X.rho, X.pi)
-    dg, dg_inv = _metric_blocks_derivative(X.rho, v_rho, params, metric.momentum_block)
+    dg, dg_inv = _metric_blocks_derivative(X.rho, v_rho, params, g_inv)
     S = np.empty((2 * n, 2 * n))
-    np.matmul(jac[:n].T, metric.coordinate_block, out=S[:, :n])
-    np.matmul(jac[n:].T, metric.momentum_block, out=S[:, n:])
+    np.matmul(jac[:n].T, g, out=S[:, :n])
+    np.matmul(jac[n:].T, g_inv, out=S[:, n:])
     residual = S + S.T
     residual[:n, :n] += dg
     residual[n:, n:] += dg_inv
@@ -146,11 +147,17 @@ def lie_derivative_symplectic(spec: HamiltonianSpec, X: PhasePoint) -> np.ndarra
 
 @dataclass(frozen=True)
 class FsRatios:
-    """Ray metric over squared arccos-overlap distance, per epsilon.
+    """Ray metric over the squared Fubini-Study angle, per epsilon.
 
-    For a non-gauge direction the sequence converges to a constant
-    independent of the direction (FS_RATIO_CONSTANT for B(1) = 1); pure
-    gauge directions produce a vanishing numerator and are flagged instead.
+    ``ratios`` holds the raw ratio r_k at each epsilon e_k.  It approaches
+    its limit linearly in eps, so with three or more ratios ``limit`` and
+    ``cauchy_residual`` read the linear extrapolations to eps -> 0 of
+    consecutive pairs, (e_k r_{k+1} - e_{k+1} r_k) / (e_k - e_{k+1}): the
+    limit is the last one and the residual the gap between the last two.
+    With fewer ratios they read the raw ratios.  For a non-gauge direction
+    the limit is independent of the direction (FS_RATIO_CONSTANT for
+    B(1) = 1); pure gauge directions produce a vanishing numerator and are
+    flagged instead.
     """
 
     epsilons: tuple[float, ...]
@@ -158,14 +165,23 @@ class FsRatios:
     gauge_null: bool
 
     @property
+    def _estimates(self) -> tuple[float, ...]:
+        e, r = self.epsilons, self.ratios
+        if len(r) < 3:
+            return r
+        return tuple((e[k] * r[k + 1] - e[k + 1] * r[k]) / (e[k] - e[k + 1]) for k in range(len(r) - 1))
+
+    @property
     def limit(self) -> float | None:
-        return self.ratios[-1] if self.ratios else None
+        estimates = self._estimates
+        return estimates[-1] if estimates else None
 
     @property
     def cauchy_residual(self) -> float:
-        if len(self.ratios) < 2:
+        estimates = self._estimates
+        if len(estimates) < 2:
             return 0.0
-        return abs(self.ratios[-1] - self.ratios[-2])
+        return abs(estimates[-1] - estimates[-2])
 
 
 def fs_consistency(
@@ -176,12 +192,15 @@ def fs_consistency(
     *,
     params: MetricParams = CANONICAL_PARAMS,
 ) -> FsRatios:
-    """Compare the ray metric with the squared arccos overlap distance.
+    """Compare the ray metric with the squared Fubini-Study angle.
 
     For each epsilon (evaluated in decreasing order) the ratio
-    r = ray_metric(eps * displacement) / arccos(|<psi|phi(eps)>|)^2 is
-    formed, phi(eps) being the displaced state; r converges as eps -> 0.
-    Requires a normalized psi and a tangent drho (sum zero).
+    r = ray_metric(eps * displacement) / theta(eps)^2 is formed, phi(eps)
+    being the displaced state and theta = arccos(|<psi|phi>|) its angle to
+    psi.  theta is taken as the chord angle 2 arcsin(|e^{i alpha} psi - phi| / 2)
+    with alpha = arg<psi|phi>, which equals it for unit states but keeps its
+    digits where the overlap is within rounding of 1.  Requires a normalized
+    psi, a tangent drho (sum zero) and distinct epsilons.
     """
     if not psi.is_normalized:
         raise NormalizationError(f"psi must be normalized, total weight {psi.rho_total!r}")
@@ -192,6 +211,8 @@ def fs_consistency(
     eps_sorted = tuple(sorted((float(e) for e in epsilons), reverse=True))
     if not eps_sorted or eps_sorted[-1] <= 0.0:
         raise ValueError("epsilons must be positive")
+    if len(set(eps_sorted)) != len(eps_sorted):
+        raise ValueError("epsilons must be distinct")
     base = induced_metric_ts(rho, drho, dpi, params)
     scale = float(drho @ drho + dpi @ dpi)
     if base <= 1e-13 * max(scale, 1e-30):
@@ -200,8 +221,8 @@ def fs_consistency(
     for eps in eps_sorted:
         numerator = induced_metric_ts(rho, eps * drho, eps * dpi, params)
         phi = to_complex(PhasePoint(rho + eps * drho, pi + eps * dpi))
-        overlap = min(1.0, abs(inner_product(psi, phi)))
-        angle = float(np.arccos(overlap))
+        aligned = np.exp(1j * np.angle(inner_product(psi, phi))) * psi.psi
+        angle = 2.0 * float(np.arcsin(0.5 * np.linalg.norm(aligned - phi.psi)))
         if angle == 0.0:
             return FsRatios(eps_sorted, (), True)
         ratios.append(numerator / angle**2)
@@ -249,7 +270,7 @@ def convergence_study(spec: HamiltonianSpec, X0: PhasePoint, h_list, tau_total: 
     """
     if spec.kernel is None or spec.realness_deviations[0] > HERMITIAN_TOL:
         raise NotHermitianError("a Hermitian kernel is required for the unitary oracle")
-    if spec.linear_bra is not None or spec.linear_ket is not None or spec.nonlinear != "none":
+    if not spec.is_pure_kernel:
         raise ValueError("the unitary oracle applies to pure-kernel Hamiltonians only")
     K = spec.hermitian_part
     psi0 = to_complex(X0)

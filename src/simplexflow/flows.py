@@ -103,42 +103,6 @@ class PhasePoint:
         return np.mod(self.pi, TWO_PI)
 
 
-@dataclass(frozen=True)
-class TangentVector:
-    """A tangent vector with components split as (drho/dl, dpi/dl)."""
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        comps = as_vector(self.components, "components")
-        if comps.size % 2:
-            raise DimensionError(f"components must have even length, got {comps.size}")
-        object.__setattr__(self, "components", readonly(comps))
-
-    @property
-    def n(self) -> int:
-        return self.components.size // 2
-
-    @property
-    def drho(self) -> np.ndarray:
-        return self.components[: self.n]
-
-    @property
-    def dpi(self) -> np.ndarray:
-        return self.components[self.n :]
-
-
-def _as_complex_vector(values, name: str, n: int | None = None) -> np.ndarray:
-    arr = np.asarray(values, dtype=complex)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DimensionError(f"{name} must be a nonempty 1-d array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} has non-finite entries")
-    if n is not None and arr.size != n:
-        raise DimensionError(f"{name} has length {arr.size}, expected {n}")
-    return arr
-
-
 def _hermitian_deviation(m: np.ndarray) -> float:
     """Largest elementwise |m - m^H|, formed as |conj(m) - m^T| (the same
     moduli, transposed), which is several times faster."""
@@ -182,7 +146,7 @@ class HamiltonianSpec:
         for name in ("linear_bra", "linear_ket"):
             vec = getattr(self, name)
             if vec is not None:
-                vec = _as_complex_vector(vec, name, n)
+                vec = as_vector(vec, name, n, dtype=complex)
                 n = vec.size
                 object.__setattr__(self, name, readonly(vec, dtype=complex))
         if self.nonlinear not in NONLINEAR_TAGS:
@@ -201,6 +165,12 @@ class HamiltonianSpec:
             if vec is not None:
                 return vec.size
         return None
+
+    @property
+    def is_pure_kernel(self) -> bool:
+        """Whether the spec is a kernel plus at most a constant."""
+        return (self.kernel is not None and self.linear_bra is None and self.linear_ket is None
+                and self.nonlinear == "none")
 
     @cached_property
     def realness_deviations(self) -> tuple[float, float]:
@@ -461,11 +431,10 @@ def gradient(spec: HamiltonianSpec, X: PhasePoint) -> tuple[np.ndarray, np.ndarr
     return _grad_arrays(spec, X.rho, X.pi)
 
 
-def hamiltonian_vector_field(spec: HamiltonianSpec, X: PhasePoint) -> TangentVector:
+def hamiltonian_vector_field(spec: HamiltonianSpec, X: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
     """The flow field (drho/dtau, dpi/dtau) = (dH/dpi, -dH/drho) at X."""
     spec.require_valid_real()
-    fr, fp = _field_arrays(spec, X.rho, X.pi)
-    return TangentVector(np.concatenate([fr, fp]))
+    return _field_arrays(spec, X.rho, X.pi)
 
 
 def bracket_from_gradients(grad_a, grad_b) -> float:

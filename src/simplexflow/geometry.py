@@ -5,7 +5,7 @@ The base space is the open cone of componentwise-positive vectors rho
 pi yields a 2n-dimensional phase space; every 2n-dimensional object here uses
 the coordinate ordering (rho_1 .. rho_n, pi_1 .. pi_n).
 
-At any interior point this module constructs
+At any interior point this module constructs, as read-only arrays,
 
 * the information metric ``g`` on the base, with entries
   A(|rho|) n_i n_j + B(|rho|) / (2 rho_i) delta_ij, where n is the all-ones
@@ -46,9 +46,9 @@ def readonly(values, dtype=float) -> np.ndarray:
     return arr
 
 
-def as_vector(values, name: str = "vector", n: int | None = None) -> np.ndarray:
-    """Coerce to a finite 1-d float array, optionally of fixed length."""
-    arr = np.asarray(values, dtype=float)
+def as_vector(values, name: str = "vector", n: int | None = None, dtype=float) -> np.ndarray:
+    """Coerce to a finite nonempty 1-d array of ``dtype``, optionally of fixed length."""
+    arr = np.asarray(values, dtype=dtype)
     if arr.ndim != 1 or arr.size == 0:
         raise DimensionError(f"{name} must be a nonempty 1-d array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -116,48 +116,6 @@ class MetricParams:
 CANONICAL_PARAMS = MetricParams()
 
 
-@dataclass(frozen=True)
-class InfoMetric:
-    """Information metric g evaluated at a base point."""
-
-    g: np.ndarray
-    rho: np.ndarray
-
-
-@dataclass(frozen=True)
-class PhaseSpaceMetric:
-    """Phase-space metric blockdiag(g, g^{-1}) at a base point."""
-
-    G: np.ndarray
-    rho: np.ndarray
-
-    @property
-    def coordinate_block(self) -> np.ndarray:
-        n = self.rho.size
-        return self.G[:n, :n]
-
-    @property
-    def momentum_block(self) -> np.ndarray:
-        n = self.rho.size
-        return self.G[n:, n:]
-
-
-@dataclass(frozen=True)
-class SymplecticMatrix:
-    """Constant antisymmetric form with blocks [[0, I], [-I, 0]]."""
-
-    Omega: np.ndarray
-
-
-@dataclass(frozen=True)
-class ComplexStructure:
-    """Tensor J with J J = -identity, obtained by raising one index of Omega
-    with the inverse phase-space metric."""
-
-    J: np.ndarray
-    rho: np.ndarray
-
-
 def _metric_blocks(rho: np.ndarray, params: MetricParams) -> tuple[np.ndarray, np.ndarray]:
     """(g, g^{-1}); the inverse uses the diagonal-plus-rank-one identity, so
     it is exact up to rounding and never calls a generic solver."""
@@ -197,7 +155,7 @@ def _metric_blocks_derivative(
     return dg, -g_inv @ dg @ g_inv
 
 
-def info_metric(rho, params: MetricParams = CANONICAL_PARAMS) -> InfoMetric:
+def info_metric(rho, params: MetricParams = CANONICAL_PARAMS) -> np.ndarray:
     """Evaluate the information metric at an interior point of the cone.
 
     g_ij = A(|rho|) n_i n_j + B(|rho|) / (2 rho_i) delta_ij.  For the
@@ -208,10 +166,10 @@ def info_metric(rho, params: MetricParams = CANONICAL_PARAMS) -> InfoMetric:
     rho = as_vector(rho, "rho")
     require_interior(rho)
     g, _ = _metric_blocks(rho, params)
-    return InfoMetric(g=readonly(g), rho=readonly(rho))
+    return readonly(g)
 
 
-def phase_space_metric(rho, params: MetricParams = CANONICAL_PARAMS) -> PhaseSpaceMetric:
+def phase_space_metric(rho, params: MetricParams = CANONICAL_PARAMS) -> np.ndarray:
     """Evaluate G = blockdiag(g, g^{-1}); the mixed rho-pi blocks vanish so
     the squared speed of a curve is invariant under flow reversal."""
     rho = as_vector(rho, "rho")
@@ -221,17 +179,17 @@ def phase_space_metric(rho, params: MetricParams = CANONICAL_PARAMS) -> PhaseSpa
     G = np.zeros((2 * n, 2 * n))
     G[:n, :n] = g
     G[n:, n:] = g_inv
-    return PhaseSpaceMetric(G=readonly(G), rho=readonly(rho))
+    return readonly(G)
 
 
-def symplectic_matrix(n: int) -> SymplecticMatrix:
+def symplectic_matrix(n: int) -> np.ndarray:
     """The constant canonical form on a 2n-dimensional phase space."""
     if n < 1:
         raise DimensionError(f"n must be >= 1, got {n}")
     omega = np.zeros((2 * n, 2 * n))
     omega[:n, n:] = np.eye(n)
     omega[n:, :n] = -np.eye(n)
-    return SymplecticMatrix(Omega=readonly(omega))
+    return readonly(omega)
 
 
 def symplectic_eval(u, v) -> float:
@@ -246,7 +204,7 @@ def symplectic_eval(u, v) -> float:
     return float(u[:n] @ v[n:] - u[n:] @ v[:n])
 
 
-def complex_structure(rho, params: MetricParams = CANONICAL_PARAMS) -> ComplexStructure:
+def complex_structure(rho, params: MetricParams = CANONICAL_PARAMS) -> np.ndarray:
     """J = -G^{-1} Omega, blockwise [[0, -g^{-1}], [g, 0]].
 
     The block assembly makes J J = -identity hold to rounding; for the
@@ -260,7 +218,7 @@ def complex_structure(rho, params: MetricParams = CANONICAL_PARAMS) -> ComplexSt
     J = np.zeros((2 * n, 2 * n))
     J[:n, n:] = -g_inv
     J[n:, :n] = g
-    return ComplexStructure(J=readonly(J), rho=readonly(rho))
+    return readonly(J)
 
 
 def embedding_length(drho, dpi, rho, params: MetricParams = CANONICAL_PARAMS) -> float:

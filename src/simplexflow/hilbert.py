@@ -24,7 +24,7 @@ from .flows import (
     PhasePoint,
     poisson_bracket,
 )
-from .geometry import NORM_TOL, readonly
+from .geometry import NORM_TOL, as_vector, readonly
 
 
 @dataclass(frozen=True)
@@ -34,11 +34,7 @@ class ComplexState:
     psi: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.psi, dtype=complex)
-        if arr.ndim != 1 or arr.size == 0:
-            raise DimensionError(f"psi must be a nonempty 1-d array, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("psi has non-finite entries")
+        arr = as_vector(self.psi, "psi", dtype=complex)
         if float(np.sum(np.abs(arr) ** 2)) == 0.0:
             raise ValueError("psi must have positive total weight")
         object.__setattr__(self, "psi", readonly(arr, dtype=complex))
@@ -102,21 +98,22 @@ def propagate_unitary(K: HermitianOperator, psi0: ComplexState, tau: float) -> C
 
 
 def commutator_identity_check(
-    U: HermitianOperator, V: HermitianOperator, psi: ComplexState
+    U: HamiltonianSpec, V: HamiltonianSpec, psi: ComplexState
 ) -> tuple[float, float]:
-    """Both sides of {U~, V~} = -i <psi|[U, V]|psi> at psi.
+    """Both sides of {U~, V~} = -i <psi|[U, V]|psi> at psi, for two
+    pure-kernel Hamiltonians U~ = <psi|U|psi> and V~ = <psi|V|psi>.
 
-    The left side is the Poisson bracket of the induced bilinear Hamiltonians
-    at the real-coordinate image of psi.  The right side is real because the
-    commutator of Hermitian operators is anti-Hermitian: with
-    z = <U psi|V psi> it is -i (z - conj(z)) = 2 Im z, two matrix-vector
-    products.  The two agree identically, so the difference is pure rounding.
+    The left side is their Poisson bracket at the real-coordinate image of
+    psi.  The right side is real because the commutator of Hermitian
+    operators is anti-Hermitian: with z = <U psi|V psi> it is
+    -i (z - conj(z)) = 2 Im z, two matrix-vector products with the kernels.
+    The two agree identically, so the difference is pure rounding.
     """
+    if not (U.is_pure_kernel and V.is_pure_kernel):
+        raise ValueError("the commutator identity applies to pure-kernel Hamiltonians only")
     point, _ = from_complex(psi)
-    lhs = poisson_bracket(
-        HamiltonianSpec(kernel=U.matrix), HamiltonianSpec(kernel=V.matrix), point
-    )
-    rhs = 2.0 * float(np.vdot(U.matrix @ psi.psi, V.matrix @ psi.psi).imag)
+    lhs = poisson_bracket(U, V, point)
+    rhs = 2.0 * float(np.vdot(U.kernel @ psi.psi, V.kernel @ psi.psi).imag)
     return lhs, rhs
 
 

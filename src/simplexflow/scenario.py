@@ -44,7 +44,6 @@ from .flows import (
 from .geometry import CANONICAL_PARAMS, MetricParams, complex_structure
 from .hilbert import (
     ComplexState,
-    HermitianOperator,
     commutator_identity_check,
     from_complex,
     propagate_unitary,
@@ -523,7 +522,7 @@ def _max_abs(values) -> float:
 
 def _complex_structure_at(spec, X, params):
     # J = [[0, -g^-1], [g, 0]], so J J + 1 = blockdiag(1 - g^-1 g, 1 - g g^-1).
-    J = complex_structure(X.rho, params).J
+    J = complex_structure(X.rho, params)
     n = X.n
     eye = np.eye(n)
     return max(_max_abs(J[:n, n:] @ J[n:, :n] + eye), _max_abs(J[n:, :n] @ J[:n, n:] + eye))
@@ -545,8 +544,8 @@ def _bracket_commutator(config, trajectory, extras):
     rng = _check_rng(config, "bracket_commutator")
     worst = 0.0
     for _ in range(50):
-        U = HermitianOperator(random_hermitian(config.n, rng))
-        V = HermitianOperator(random_hermitian(config.n, rng))
+        U = HamiltonianSpec(kernel=random_hermitian(config.n, rng))
+        V = HamiltonianSpec(kernel=random_hermitian(config.n, rng))
         psi = to_complex(_single_interior_point(config.n, rng))
         lhs, rhs = commutator_identity_check(U, V, psi)
         worst = max(worst, abs(lhs - rhs))

@@ -49,7 +49,7 @@ def test_01_complex_structure_law():
     for n in (2, 3, 5, 8):
         identity = np.eye(2 * n)
         for point in sample_interior_points(n, 100, rng=rng, include_barycenter=False):
-            J = complex_structure(point.rho).J
+            J = complex_structure(point.rho)
             worst = max(worst, float(np.max(np.abs(J @ J + identity))))
     report(1, "complex-structure law J.J = -1", worst <= 1e-12, f"max residual {worst:.3e} <= 1e-12")
 
@@ -130,14 +130,14 @@ def test_06_bracket_commutator_identity():
     worst = 0.0
     for k in range(50):
         n = (2, 3, 4, 5)[k % 4]
-        U = HermitianOperator(random_hermitian(n, rng))
-        V = HermitianOperator(random_hermitian(n, rng))
+        U = HamiltonianSpec(kernel=random_hermitian(n, rng))
+        V = HamiltonianSpec(kernel=random_hermitian(n, rng))
         psi = to_complex(sample_interior_points(n, 1, rng=rng, include_barycenter=False)[0])
         lhs, rhs = commutator_identity_check(U, V, psi)
         worst = max(worst, abs(lhs - rhs))
     fixture = ComplexState([1 / math.sqrt(2), 1j / math.sqrt(2)])
     lhs, rhs = commutator_identity_check(
-        HermitianOperator(SIGMA_X), HermitianOperator(np.diag([1.0, -1.0])), fixture
+        HamiltonianSpec(kernel=SIGMA_X), HamiltonianSpec(kernel=np.diag([1.0, -1.0])), fixture
     )
     ok = worst <= 1e-12 and abs(lhs + 2.0) <= 1e-12 and abs(rhs + 2.0) <= 1e-12
     report(6, "Poisson bracket equals commutator expectation", ok,

@@ -6,6 +6,7 @@ from simplexflow import (
     CANONICAL_PARAMS,
     DEFAULT_PARAM_FAMILIES,
     FS_RATIO_CONSTANT,
+    FsRatios,
     HamiltonianSpec,
     MetricParams,
     ParamError,
@@ -94,9 +95,9 @@ class TestLieDerivativeMetric:
         x = PhasePoint([0.5, 0.5], [0.0, 0.0]).coordinates
         field = spec_field(CONTROL, 2)
         with pytest.raises(ValueError):
-            lie_derivative(field, lambda y: phase_space_metric(y[:2]).G, x, fd_step=1e-7)
+            lie_derivative(field, lambda y: phase_space_metric(y[:2]), x, fd_step=1e-7)
         with pytest.raises(ValueError):
-            lie_derivative(field, lambda y: symplectic_matrix(2).Omega, x, fd_step=1e-2)
+            lie_derivative(field, lambda y: symplectic_matrix(2), x, fd_step=1e-2)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_matches_finite_difference_oracle(self, n, rng):
@@ -105,7 +106,7 @@ class TestLieDerivativeMetric:
             field = spec_field(spec, n)
             for params in DEFAULT_PARAM_FAMILIES:
                 exact = lie_derivative_metric(spec, point, params=params)
-                oracle = lie_derivative(field, lambda y: phase_space_metric(y[:n], params).G,
+                oracle = lie_derivative(field, lambda y: phase_space_metric(y[:n], params),
                                         point.coordinates)
                 assert np.max(np.abs(exact - oracle)) <= 1e-9, (label, params)
 
@@ -129,8 +130,8 @@ def dense_lie_derivatives(spec, X, params):
     the dense products that the block forms replace, and their scale."""
     n = X.n
     jac = _field_jacobian(spec, X.rho, X.pi)
-    omega = symplectic_matrix(n).Omega
-    G = phase_space_metric(X.rho, params).G
+    omega = symplectic_matrix(n)
+    G = phase_space_metric(X.rho, params)
     v_rho, _ = _field_arrays(spec, X.rho, X.pi)
     dg, dg_inv = _metric_blocks_derivative(X.rho, v_rho, params, G[n:, n:])
     metric = jac.T @ G + G @ jac
@@ -179,7 +180,7 @@ class TestLieDerivativeSymplectic:
     def test_momentum_shear_field_is_still_hamiltonian(self):
         # u = (pi, 0) contracts with Omega to the exact gradient of |pi|^2/2,
         # so its symplectic residual vanishes despite looking synthetic.
-        omega = symplectic_matrix(2).Omega
+        omega = symplectic_matrix(2)
 
         def field(x):
             return np.concatenate([x[2:], np.zeros(2)])
@@ -190,7 +191,7 @@ class TestLieDerivativeSymplectic:
     def test_non_gradient_field_detected(self):
         # u = (pi_2, 0, 0, 0): Omega.u has asymmetric mixed derivatives
         # (no generating function), leaving +-1 entries in L_u Omega.
-        omega = symplectic_matrix(2).Omega
+        omega = symplectic_matrix(2)
 
         def field(x):
             return np.array([x[3], 0.0, 0.0, 0.0])
@@ -288,6 +289,23 @@ class TestFsConsistency:
             result = fs_consistency(psi, drho / scale, dpi / scale, self.EPSILONS)
             limits.append(result.limit)
         assert max(limits) - min(limits) <= 1e-4
+
+    def test_limit_extrapolates_consecutive_pairs(self):
+        # Ratios exactly linear in eps extrapolate to their intercept, and
+        # every consecutive pair gives the same estimate.
+        eps = (1e-2, 1e-3, 1e-4)
+        result = FsRatios(eps, tuple(2.0 + 0.5 * e for e in eps), False)
+        assert abs(result.limit - 2.0) <= 1e-15
+        assert result.cauchy_residual <= 1e-15
+        # With fewer than three ratios they read the raw ratios.
+        short = FsRatios(eps[:2], (2.1, 2.01), False)
+        assert short.limit == 2.01
+        assert abs(short.cauchy_residual - 0.09) <= 1e-15
+
+    def test_repeated_epsilons_rejected(self):
+        psi = to_complex(PhasePoint([0.5, 0.5], [0.0, 0.0]))
+        with pytest.raises(ValueError):
+            fs_consistency(psi, [1.0, -1.0], [0.0, 0.0], (1e-3, 1e-3, 1e-4))
 
     def test_pure_gauge_reported_null(self):
         psi = to_complex(PhasePoint([0.4, 0.6], [0.3, 1.0]))

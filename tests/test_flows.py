@@ -14,7 +14,6 @@ from simplexflow import (
     NormalizationError,
     NotRealError,
     PhasePoint,
-    TangentVector,
     Trajectory,
     bracket_from_gradients,
     check_normalization_generator,
@@ -141,27 +140,27 @@ class TestEvalHamiltonian:
 
 class TestVectorField:
     def test_normalization_flow_is_momentum_shift(self):
-        field = hamiltonian_vector_field(
+        drho, dpi = hamiltonian_vector_field(
             HamiltonianSpec.normalization(3), PhasePoint([0.2, 0.3, 0.5], [0.0, 1.0, 4.0])
         )
-        assert_allclose(field.drho, 0.0, atol=1e-15)
-        assert_allclose(field.dpi, 1.0, rtol=1e-14)
+        assert_allclose(drho, 0.0, atol=1e-15)
+        assert_allclose(dpi, 1.0, rtol=1e-14)
 
     def test_identity_kernel_mirrors_constraint(self):
-        field = hamiltonian_vector_field(
+        drho, dpi = hamiltonian_vector_field(
             HamiltonianSpec(kernel=np.eye(2)), PhasePoint([0.6, 0.4], [0.3, 2.2])
         )
-        assert_allclose(field.drho, 0.0, atol=1e-15)
-        assert_allclose(field.dpi, -1.0, rtol=1e-14)
+        assert_allclose(drho, 0.0, atol=1e-15)
+        assert_allclose(dpi, -1.0, rtol=1e-14)
 
     def test_sigma_x_hand_derivative(self):
         # H = 2 sqrt(rho1 rho2) cos(pi1 - pi2); at the symmetric point the
         # rho velocities vanish and both momenta decay at unit rate.
-        field = hamiltonian_vector_field(
+        drho, dpi = hamiltonian_vector_field(
             HamiltonianSpec(kernel=SIGMA_X), PhasePoint([0.5, 0.5], [0.0, 0.0])
         )
-        assert_allclose(field.drho, [0.0, 0.0], atol=1e-15)
-        assert_allclose(field.dpi, [-1.0, -1.0], rtol=1e-14)
+        assert_allclose(drho, [0.0, 0.0], atol=1e-15)
+        assert_allclose(dpi, [-1.0, -1.0], rtol=1e-14)
 
     def test_gradient_against_finite_differences(self, rng):
         # Every spec kind, a kernel with a 1e-3 anti-Hermitian part (whose
@@ -495,10 +494,3 @@ class TestTrajectoryType:
         traj = integrate_midpoint(HamiltonianSpec(kernel=SIGMA_X), X0, 0.05, 400)
         rebuilt = np.sqrt(traj.rho) * np.exp(1j * traj.pi)
         assert_allclose(rebuilt[1:], traj.psi[1:], rtol=0, atol=1e-14)
-
-    def test_tangent_vector_split(self):
-        vec = TangentVector([1.0, 2.0, 3.0, 4.0])
-        assert_allclose(vec.drho, [1.0, 2.0])
-        assert_allclose(vec.dpi, [3.0, 4.0])
-        with pytest.raises(DimensionError):
-            TangentVector([1.0, 2.0, 3.0])

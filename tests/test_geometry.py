@@ -49,23 +49,20 @@ def ray_metric_oracle(rho, drho, dpi, params=CANONICAL_PARAMS):
 
 class TestInfoMetric:
     def test_canonical_diag(self):
-        result = info_metric([0.5, 0.5])
-        assert_allclose(result.g, np.eye(2), atol=1e-15)
+        assert_allclose(info_metric([0.5, 0.5]), np.eye(2), atol=1e-15)
 
     def test_general_params_by_hand(self):
         # A = 1, B = 2 at |rho| = 1: g_ij = 1 + (1/rho_i) delta_ij
         params = MetricParams(a_coeffs=(1.0,), b_coeffs=(2.0,))
-        result = info_metric([0.25, 0.75], params)
         expected = np.array([[1.0 + 4.0, 1.0], [1.0, 1.0 + 4.0 / 3.0]])
-        assert_allclose(result.g, expected, rtol=1e-14)
+        assert_allclose(info_metric([0.25, 0.75], params), expected, rtol=1e-14)
 
     def test_barycenter_symmetric(self):
-        result = info_metric([1 / 3, 1 / 3, 1 / 3])
-        assert_allclose(result.g, np.diag([1.5, 1.5, 1.5]), atol=1e-15)
+        assert_allclose(info_metric([1 / 3, 1 / 3, 1 / 3]), np.diag([1.5, 1.5, 1.5]), atol=1e-15)
 
     def test_barycenter_permutation_invariant(self, rng):
         params = MetricParams(a_coeffs=(0.7, 0.3), b_coeffs=(0.4, 0.6))
-        g = info_metric([0.25] * 4, params).g
+        g = info_metric([0.25] * 4, params)
         for perm in itertools.permutations(range(4)):
             p = np.asarray(perm)
             assert_allclose(g[np.ix_(p, p)], g, atol=1e-15)
@@ -75,7 +72,7 @@ class TestInfoMetric:
             rho = rng.uniform(0.05, 1.0, size=5)
             params = MetricParams(a_coeffs=tuple(rng.uniform(0, 2, 2)),
                                   b_coeffs=(float(rng.uniform(0.5, 2)),))
-            g = info_metric(rho, params).g
+            g = info_metric(rho, params)
             assert_allclose(g, g.T, atol=1e-15)
             assert np.all(np.linalg.eigvalsh(g) > 0)
 
@@ -96,37 +93,37 @@ class TestInfoMetric:
             MetricParams(b_coeffs=(-1.0,))
 
     def test_results_are_immutable(self):
-        result = info_metric([0.4, 0.6])
-        with pytest.raises(ValueError):
-            result.g[0, 0] = 5.0
+        for result in (info_metric([0.4, 0.6]), phase_space_metric([0.4, 0.6]),
+                       symplectic_matrix(2), complex_structure([0.4, 0.6])):
+            with pytest.raises(ValueError):
+                result[0, 0] = 5.0
 
 
 class TestPhaseSpaceMetric:
     def test_identity_at_even_qubit(self):
-        result = phase_space_metric([0.5, 0.5])
-        assert_allclose(result.G, np.eye(4), atol=1e-15)
+        assert_allclose(phase_space_metric([0.5, 0.5]), np.eye(4), atol=1e-15)
 
     def test_canonical_blocks(self):
-        result = phase_space_metric([0.25, 0.75])
-        assert_allclose(np.diag(result.G), [2.0, 2.0 / 3.0, 0.5, 1.5], rtol=1e-14)
+        G = phase_space_metric([0.25, 0.75])
+        assert_allclose(np.diag(G), [2.0, 2.0 / 3.0, 0.5, 1.5], rtol=1e-14)
         n = 2
-        assert_allclose(result.G[:n, n:], 0.0, atol=0)
-        assert_allclose(result.G[n:, :n], 0.0, atol=0)
+        assert_allclose(G[:n, n:], 0.0, atol=0)
+        assert_allclose(G[n:, :n], 0.0, atol=0)
 
     def test_inverse_pair_identity(self, rng):
         for _ in range(20):
             rho = rng.uniform(0.05, 1.0, size=4)
             params = MetricParams(a_coeffs=(float(rng.uniform(0, 3)),),
                                   b_coeffs=(float(rng.uniform(0.5, 2)),))
-            result = phase_space_metric(rho, params)
-            prod = result.momentum_block @ result.coordinate_block
+            G = phase_space_metric(rho, params)
+            prod = G[4:, 4:] @ G[:4, :4]
             assert_allclose(prod, np.eye(4), atol=1e-13)
 
     def test_blocks_match_info_metric(self):
         params = MetricParams(a_coeffs=(1.0, 0.5), b_coeffs=(0.25, 0.75))
         rho = [0.3, 0.2, 0.5]
-        assert_allclose(phase_space_metric(rho, params).coordinate_block,
-                        info_metric(rho, params).g, atol=1e-15)
+        assert_allclose(phase_space_metric(rho, params)[:3, :3],
+                        info_metric(rho, params), atol=1e-15)
 
     def test_singular_rank_one_rejected(self):
         # A = -0.7, B = 1 at |rho| = 1/1.4: the rank-one correction makes
@@ -151,13 +148,13 @@ class TestSymplectic:
         assert symplectic_eval(u, u) == 0.0
 
     def test_matches_matrix_form(self, rng):
-        omega = symplectic_matrix(3).Omega
+        omega = symplectic_matrix(3)
         for _ in range(10):
             u, v = rng.standard_normal((2, 6))
             assert_allclose(symplectic_eval(u, v), u @ omega @ v, rtol=1e-13, atol=1e-13)
 
     def test_matrix_constant_antisymmetric(self):
-        omega = symplectic_matrix(4).Omega
+        omega = symplectic_matrix(4)
         assert_allclose(omega, -omega.T, atol=0)
         assert set(np.unique(omega)) == {-1.0, 0.0, 1.0}
 
@@ -170,26 +167,26 @@ class TestSymplectic:
 
 class TestComplexStructure:
     def test_qubit_block_form(self):
-        J = complex_structure([0.5, 0.5]).J
+        J = complex_structure([0.5, 0.5])
         expected = np.zeros((4, 4))
         expected[:2, 2:] = -np.eye(2)
         expected[2:, :2] = np.eye(2)
         assert_allclose(J, expected, atol=1e-15)
 
     def test_upper_right_block(self):
-        J = complex_structure([0.25, 0.75]).J
+        J = complex_structure([0.25, 0.75])
         assert_allclose(J[:2, 2:], np.diag([-0.5, -1.5]), rtol=1e-14)
 
     def test_square_root_of_minus_identity(self, rng):
         for n in (2, 3, 5):
             for point in sample_interior_points(n, 10, rng=rng, margin=0.2):
-                J = complex_structure(point.rho).J
+                J = complex_structure(point.rho)
                 assert np.max(np.abs(J @ J + np.eye(2 * n))) <= 1e-12
 
     def test_square_law_nonflat_params(self, rng):
         params = MetricParams(a_coeffs=(2.0,), b_coeffs=(0.5, 0.5))
         for point in sample_interior_points(3, 10, rng=rng):
-            J = complex_structure(point.rho, params).J
+            J = complex_structure(point.rho, params)
             assert np.max(np.abs(J @ J + np.eye(6))) <= 1e-12
 
 

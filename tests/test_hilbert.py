@@ -65,7 +65,7 @@ class TestChart:
             K = random_hermitian(n, rng)
             spec = HamiltonianSpec(kernel=K)
             X = PhasePoint(rho, rng.uniform(0, 2 * np.pi, n))
-            V = hamiltonian_vector_field(spec, X).components
+            V = np.concatenate(hamiltonian_vector_field(spec, X))
             x0 = X.coordinates
             dpsi = np.zeros(n, dtype=complex)
             for c in range(2 * n):
@@ -124,7 +124,7 @@ class TestPsiTensors:
 
     def test_symplectic_pattern_matches_real_chart(self):
         _, omega, _ = psi_tensors(3)
-        assert_allclose(omega, symplectic_matrix(3).Omega, atol=0)
+        assert_allclose(omega, symplectic_matrix(3), atol=0)
 
     def test_inner_product_from_tensors_by_hand(self, rng):
         # The (G + i Omega)/2 contraction of the coordinate pairs is the
@@ -183,21 +183,21 @@ class TestCommutatorIdentity:
     def test_pauli_fixture(self):
         psi = ComplexState([INV_SQRT2, INV_SQRT2 * 1j])
         lhs, rhs = commutator_identity_check(
-            HermitianOperator(SIGMA_X), HermitianOperator(SIGMA_Z), psi
+            HamiltonianSpec(kernel=SIGMA_X), HamiltonianSpec(kernel=SIGMA_Z), psi
         )
         assert_allclose(lhs, -2.0, atol=1e-12)
         assert_allclose(rhs, -2.0, atol=1e-12)
 
     def test_self_commutator(self, rng):
-        U = HermitianOperator(random_hermitian(3, rng))
+        U = HamiltonianSpec(kernel=random_hermitian(3, rng))
         psi = to_complex(sample_interior_points(3, 1, rng=rng)[1])
         lhs, rhs = commutator_identity_check(U, U, psi)
         assert lhs == 0.0
         assert abs(rhs) <= 1e-15
 
     def test_commuting_diagonals(self, rng):
-        U = HermitianOperator(np.diag([0.3, -1.0, 2.0]))
-        V = HermitianOperator(np.diag([1.1, 0.2, -0.4]))
+        U = HamiltonianSpec(kernel=np.diag([0.3, -1.0, 2.0]))
+        V = HamiltonianSpec(kernel=np.diag([1.1, 0.2, -0.4]))
         psi = to_complex(sample_interior_points(3, 1, rng=rng)[1])
         lhs, rhs = commutator_identity_check(U, V, psi)
         assert abs(lhs) <= 1e-14
@@ -205,8 +205,8 @@ class TestCommutatorIdentity:
 
     def test_agreement_on_random_triples(self, rng):
         for _ in range(20):
-            U = HermitianOperator(random_hermitian(4, rng))
-            V = HermitianOperator(random_hermitian(4, rng))
+            U = HamiltonianSpec(kernel=random_hermitian(4, rng))
+            V = HamiltonianSpec(kernel=random_hermitian(4, rng))
             psi = to_complex(sample_interior_points(4, 1, rng=rng, include_barycenter=False)[0])
             lhs, rhs = commutator_identity_check(U, V, psi)
             assert abs(lhs - rhs) <= 1e-12
@@ -218,9 +218,17 @@ class TestCommutatorIdentity:
             U = random_hermitian(n, rng)
             V = random_hermitian(n, rng)
             psi = to_complex(sample_interior_points(n, 1, rng=rng, include_barycenter=False)[0])
-            _, rhs = commutator_identity_check(HermitianOperator(U), HermitianOperator(V), psi)
+            _, rhs = commutator_identity_check(HamiltonianSpec(kernel=U), HamiltonianSpec(kernel=V), psi)
             dense = (-1j * np.vdot(psi.psi, (U @ V - V @ U) @ psi.psi)).real
             assert abs(rhs - dense) <= 1e-12, n
+
+    def test_rejects_terms_beyond_the_kernel(self):
+        psi = ComplexState([INV_SQRT2, INV_SQRT2 * 1j])
+        U = HamiltonianSpec(kernel=SIGMA_X)
+        for other in (HamiltonianSpec(linear_bra=[1.0, 0.0], linear_ket=[1.0, 0.0]),
+                      HamiltonianSpec(kernel=SIGMA_Z, nonlinear="quartic_psi")):
+            with pytest.raises(ValueError):
+                commutator_identity_check(U, other, psi)
 
 
 class TestSuperposition:

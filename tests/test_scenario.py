@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -28,6 +29,7 @@ from simplexflow import (
     write_trajectory_csv,
 )
 import simplexflow.flows as flows
+import simplexflow.scenario as scenario
 from simplexflow.cli import main as cli_main
 from simplexflow.diagnostics import random_hermitian, sample_interior_points
 from simplexflow.scenario import CHECKS, _scenario_points
@@ -440,13 +442,31 @@ class TestCheckRegistry:
     def test_complex_structure_row_matches_the_dense_product(self, n, rng):
         for X in sample_interior_points(n, 2, rng=rng):
             for params in DEFAULT_PARAM_FAMILIES:
-                J = complex_structure(X.rho, params).J
+                J = complex_structure(X.rho, params)
                 dense = float(np.max(np.abs(J @ J + np.eye(2 * n))))
                 blocks = CHECKS["complex_structure"].at(None, X, params)
                 if params == CANONICAL_PARAMS:
                     assert blocks == dense
                 else:
                     assert abs(blocks - dense) <= 1e-12, params
+
+    @pytest.mark.parametrize("n", [2, 8, 32, 128])
+    def test_fs_consistency_passes_at_every_n_and_fails_a_wrong_unit(self, n, monkeypatch):
+        # The check's own draws at config seeds 0-9: every row passes under the
+        # canonical metric, and B(1) = 2, which breaks the frozen constant 2.0,
+        # fails the constant row by far more than the tolerance.
+        check = CHECKS["fs_consistency"]
+        cfg = config_from_dict(qubit_config(
+            n=n, hamiltonian={"kernel": {"real": np.diag(np.arange(n, dtype=float)).tolist()}},
+            initial_state={"rho": [1.0 / n] * n, "pi": [0.0] * n}, checks=["fs_consistency"]))
+        for seed in range(10):
+            rows = check.residuals(cfg.with_seed(seed), None, {})
+            assert all(rows[name] <= tol for name, tol in check.tolerances.items()), (seed, rows)
+        wrong_unit = functools.partial(scenario.fs_consistency, params=MetricParams(b_coeffs=(2.0,)))
+        monkeypatch.setattr(scenario, "fs_consistency", wrong_unit)
+        for seed in range(10):
+            rows = check.residuals(cfg.with_seed(seed), None, {})
+            assert rows["fs_consistency.constant"] > 0.5, (seed, rows)
 
     def test_one_field_jacobian_per_sample_point(self, monkeypatch, tmp_path):
         calls = []
