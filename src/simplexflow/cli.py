@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import click
@@ -95,6 +94,10 @@ def batch(directory: Path, out: Path | None, seed: int | None, jobs: int, quiet:
         sys.exit(2)
     out_root = out if out is not None else Path.cwd()
     if jobs > 1:
+        # Imported here, so that commands without a process pool do not pay
+        # for loading concurrent.futures and multiprocessing at start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_run_one, configs, [out_root] * len(configs), [seed] * len(configs)))
     else:

@@ -28,6 +28,7 @@ from .geometry import (
     CANONICAL_PARAMS,
     MetricParams,
     _metric_blocks_derivative,
+    _metric_parts,
     as_vector,
     induced_metric_ts,
     phase_space_metric,
@@ -84,15 +85,36 @@ def sample_interior_points(
     return points
 
 
-def random_hermitian(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """Random Hermitian matrix with Gaussian real and imaginary parts: the
-    Hermitian part (x + x^T)/2 + i (y - y^T)/2 of x + i y, x drawn first."""
+def random_hermitian_pair(
+    n: int, rng: np.random.Generator, scale: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian U = (a + a^H)/2 and V = (a - a^H)/(2i), so that a = U + i V,
+    for one draw a = scale (x + i y) of Gaussian x and y, x drawn first.
+
+    a is isotropic, and the Hermitian and anti-Hermitian matrices are
+    orthogonal complements under Re tr(A^H B), so U and i V are independent;
+    multiplying by -i maps the anti-Hermitian matrices isometrically onto the
+    Hermitian ones.  The pair therefore has the law of two independent
+    `random_hermitian` draws, at the cost of one.
+    """
     x = rng.standard_normal((n, n))
     y = rng.standard_normal((n, n))
-    out = np.empty((n, n), dtype=complex)
-    out.real = scale * 0.5 * (x + x.T)
-    out.imag = scale * 0.5 * (y - y.T)
-    return out
+    U = np.empty((n, n), dtype=complex)
+    V = np.empty((n, n), dtype=complex)
+    np.add(x, x.T, out=U.real)
+    np.subtract(y, y.T, out=U.imag)
+    np.add(y, y.T, out=V.real)
+    np.subtract(x.T, x, out=V.imag)
+    U *= scale * 0.5
+    V *= scale * 0.5
+    return U, V
+
+
+def random_hermitian(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+    """Random Hermitian matrix with Gaussian real and imaginary parts: the
+    Hermitian part (x + x^T)/2 + i (y - y^T)/2 of x + i y, x drawn first
+    (the U of `random_hermitian_pair`)."""
+    return random_hermitian_pair(n, rng, scale)[0]
 
 
 def lie_derivative_metric(
@@ -106,21 +128,26 @@ def lie_derivative_metric(
     Closed form: DV is the field Jacobian and V.dG the exact directional
     derivative of G = blockdiag(g, g^{-1}), so the residual is exact up to
     rounding at every n.  G is symmetric, so G DV = (DV^T G)^T, and DV^T G
-    is formed block by block.  A Hermitian-kernel flow is Killing where
-    B(|rho|) = 1.  For a |rho|-dependent B with B(1) = 1 that is only the
-    normalized surface |rho| = 1, and off it the residual is of order one;
-    for the constant B = 1 it holds everywhere.  The nonlinear catalog
-    terms leave a mixed-block residual -4 rho_i delta_ij per unit strength.
+    is formed block by block in O(n^2) from g = diag(gamma) + a n n^T and
+    g^{-1} = diag(d) - c d d^T: a column scaling plus a rank-one term each.
+    A Hermitian-kernel flow is Killing where B(|rho|) = 1.  For a
+    |rho|-dependent B with B(1) = 1 that is only the normalized surface
+    |rho| = 1, and off it the residual is of order one; for the constant
+    B = 1 it holds everywhere.  The nonlinear catalog terms leave a
+    mixed-block residual -4 rho_i delta_ij per unit strength.
     """
     n = X.n
     G = phase_space_metric(X.rho, params)
-    g, g_inv = G[:n, :n], G[n:, n:]
+    gamma, a, d, c = _metric_parts(X.rho, params)
     jac = spec._jacobian_at(X)
     v_rho, _ = _field_arrays(spec, X.rho, X.pi)
-    dg, dg_inv = _metric_blocks_derivative(X.rho, v_rho, params, g_inv)
+    dg, dg_inv = _metric_blocks_derivative(X.rho, v_rho, params, G[n:, n:])
     S = np.empty((2 * n, 2 * n))
-    np.matmul(jac[:n].T, g, out=S[:, :n])
-    np.matmul(jac[n:].T, g_inv, out=S[:, n:])
+    np.multiply(jac[:n].T, gamma, out=S[:, :n])
+    np.multiply(jac[n:].T, d, out=S[:, n:])
+    if a != 0.0:
+        S[:, :n] += a * jac[:n].sum(axis=0)[:, None]
+        S[:, n:] -= np.outer(c * (d @ jac[n:]), d)
     residual = S + S.T
     residual[:n, :n] += dg
     residual[n:, n:] += dg_inv

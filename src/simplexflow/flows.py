@@ -35,7 +35,7 @@ from .errors import (
     NotHermitianError,
     NotRealError,
 )
-from .geometry import NORM_TOL, as_vector, readonly, require_interior
+from .geometry import NORM_TOL, as_square_matrix, as_vector, readonly, require_interior
 
 TWO_PI = 2.0 * np.pi
 
@@ -136,11 +136,7 @@ class HamiltonianSpec:
         n = None
         kernel = self.kernel
         if kernel is not None:
-            kernel = np.asarray(kernel, dtype=complex)
-            if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
-                raise DimensionError(f"kernel must be square, got shape {kernel.shape}")
-            if not np.all(np.isfinite(kernel)):
-                raise ValueError("kernel has non-finite entries")
+            kernel = as_square_matrix(kernel, "kernel")
             n = kernel.shape[0]
             object.__setattr__(self, "kernel", readonly(kernel, dtype=complex))
         for name in ("linear_bra", "linear_ket"):
@@ -248,11 +244,7 @@ class HermitianOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionError(f"matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix has non-finite entries")
+        m = as_square_matrix(self.matrix, "matrix")
         deviation = _hermitian_deviation(m)
         if deviation > HERMITIAN_TOL:
             raise NotHermitianError(f"matrix deviates from Hermitian by {deviation:.3e}")

@@ -58,6 +58,16 @@ def as_vector(values, name: str = "vector", n: int | None = None, dtype=float) -
     return arr
 
 
+def as_square_matrix(values, name: str = "matrix") -> np.ndarray:
+    """Coerce to a finite square 2-d complex array."""
+    arr = np.asarray(values, dtype=complex)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise DimensionError(f"{name} must be square, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} has non-finite entries")
+    return arr
+
+
 def require_interior(rho: np.ndarray) -> None:
     """Reject points whose coordinate tensors would blow up."""
     lowest = float(np.min(rho))
@@ -116,43 +126,66 @@ class MetricParams:
 CANONICAL_PARAMS = MetricParams()
 
 
-def _metric_blocks(rho: np.ndarray, params: MetricParams) -> tuple[np.ndarray, np.ndarray]:
-    """(g, g^{-1}); the inverse uses the diagonal-plus-rank-one identity, so
-    it is exact up to rounding and never calls a generic solver."""
+def _metric_parts(rho: np.ndarray, params: MetricParams) -> tuple[np.ndarray, float, np.ndarray, float]:
+    """(gamma, a, d, c) with g = diag(gamma) + a n n^T and, by the
+    diagonal-plus-rank-one identity, g^{-1} = diag(d) - c d d^T; c = 0 when
+    a = 0.  Exact up to rounding, with no generic solver."""
     s = float(rho.sum())
     b = params.b_value(s)
     if b <= 0.0:
         raise ParamError(f"B(|rho|) = {b:g} is not positive at |rho| = {s:g}")
     a = params.a_value(s)
-    g = np.diag(b / (2.0 * rho))
+    d = 2.0 * rho / b
+    c = 0.0
     if a != 0.0:
-        g = g + a
-    d_inv = 2.0 * rho / b
-    g_inv = np.diag(d_inv)
-    if a != 0.0:
-        denom = 1.0 + a * float(d_inv.sum())
+        denom = 1.0 + a * float(d.sum())
         if abs(denom) < 1e-12:
             raise SingularError(
                 f"information metric is numerically singular (1 + A tr = {denom:.3e})"
             )
-        g_inv = g_inv - (a / denom) * np.outer(d_inv, d_inv)
+        c = a / denom
+    return b / (2.0 * rho), a, d, c
+
+
+def _metric_blocks(rho: np.ndarray, params: MetricParams) -> tuple[np.ndarray, np.ndarray]:
+    """(g, g^{-1}) as dense matrices, from `_metric_parts`."""
+    gamma, a, d, c = _metric_parts(rho, params)
+    g = np.diag(gamma)
+    g_inv = np.diag(d)
+    if a != 0.0:
+        g = g + a
+        g_inv = g_inv - c * np.outer(d, d)
     return g, g_inv
 
 
 def _metric_blocks_derivative(
     rho: np.ndarray, drho: np.ndarray, params: MetricParams, g_inv: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Directional derivatives (dg, d(g^{-1})) of `_metric_blocks` along drho.
+    """Directional derivatives (dg, d(g^{-1})) of `_metric_blocks` along drho,
+    given g^{-1} at rho.
 
-    With s = |rho| and ds = sum(drho), dg = A'(s) ds n n^T +
-    diag(B'(s) ds / (2 rho) - B(s) drho / (2 rho^2)), and
-    d(g^{-1}) = -g^{-1} dg g^{-1}.
+    With s = |rho| and ds = sum(drho), dg = diag(delta) + alpha n n^T, where
+    delta = (B'(s) ds - B(s) drho / rho) / (2 rho) and alpha = A'(s) ds, and
+    d(g^{-1}) = -g^{-1} dg g^{-1}.  That product is formed in O(n^2) from
+    g^{-1} = diag(d) - c d d^T: g^{-1} diag(delta) g^{-1} =
+    diag(u) g^{-1} - c d (g^{-1} u)^T with u = d delta, and the rank-one
+    part is alpha (g^{-1} n)(g^{-1} n)^T.
     """
     s = float(rho.sum())
     ds = float(drho.sum())
-    dg = np.diag((_polyslope(params.b_coeffs, s) * ds - params.b_value(s) * drho / rho) / (2.0 * rho))
-    dg += _polyslope(params.a_coeffs, s) * ds
-    return dg, -g_inv @ dg @ g_inv
+    delta = (_polyslope(params.b_coeffs, s) * ds - params.b_value(s) * drho / rho) / (2.0 * rho)
+    alpha = _polyslope(params.a_coeffs, s) * ds
+    dg = np.diag(delta)
+    dg += alpha
+    _, _, d, c = _metric_parts(rho, params)
+    u = d * delta
+    dg_inv = -u[:, None] * g_inv
+    if c != 0.0:
+        dg_inv += np.outer(c * d, g_inv @ u)
+    if alpha != 0.0:
+        e = g_inv.sum(axis=1)
+        dg_inv -= np.outer(alpha * e, e)
+    return dg, dg_inv
 
 
 def info_metric(rho, params: MetricParams = CANONICAL_PARAMS) -> np.ndarray:

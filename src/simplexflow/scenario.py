@@ -27,7 +27,7 @@ from .diagnostics import (
     fs_consistency,
     lie_derivative_metric,
     lie_derivative_symplectic,
-    random_hermitian,
+    random_hermitian_pair,
     sample_interior_points,
 )
 from .errors import ConfigError, ParamError, SimplexFlowError
@@ -41,7 +41,7 @@ from .flows import (
     check_normalization_generator,
     integrate_midpoint,
 )
-from .geometry import CANONICAL_PARAMS, MetricParams, complex_structure
+from .geometry import CANONICAL_PARAMS, MetricParams, _metric_parts, complex_structure
 from .hilbert import (
     ComplexState,
     commutator_identity_check,
@@ -522,10 +522,21 @@ def _max_abs(values) -> float:
 
 def _complex_structure_at(spec, X, params):
     # J = [[0, -g^-1], [g, 0]], so J J + 1 = blockdiag(1 - g^-1 g, 1 - g g^-1).
+    # Each product takes one block of J as stored and the other in its closed
+    # form, g = diag(gamma) + a n n^T and g^-1 = diag(d) - c d d^T, so both
+    # blocks are read and neither product costs more than O(n^2).
     J = complex_structure(X.rho, params)
     n = X.n
-    eye = np.eye(n)
-    return max(_max_abs(J[:n, n:] @ J[n:, :n] + eye), _max_abs(J[n:, :n] @ J[:n, n:] + eye))
+    neg_g_inv, g = J[:n, n:], J[n:, :n]
+    gamma, a, d, c = _metric_parts(X.rho, params)
+    first = neg_g_inv * gamma
+    second = g * -d
+    if a != 0.0:
+        first += a * neg_g_inv.sum(axis=1)[:, None]
+        second += np.outer(c * (g @ d), d)
+    first.flat[:: n + 1] += 1.0
+    second.flat[:: n + 1] += 1.0
+    return max(_max_abs(first), _max_abs(second))
 
 
 def _conservation(config, trajectory, extras):
@@ -544,10 +555,9 @@ def _bracket_commutator(config, trajectory, extras):
     rng = _check_rng(config, "bracket_commutator")
     worst = 0.0
     for _ in range(50):
-        U = HamiltonianSpec(kernel=random_hermitian(config.n, rng))
-        V = HamiltonianSpec(kernel=random_hermitian(config.n, rng))
+        U, V = random_hermitian_pair(config.n, rng)
         psi = to_complex(_single_interior_point(config.n, rng))
-        lhs, rhs = commutator_identity_check(U, V, psi)
+        lhs, rhs = commutator_identity_check(HamiltonianSpec(kernel=U), HamiltonianSpec(kernel=V), psi)
         worst = max(worst, abs(lhs - rhs))
     return {"bracket_commutator": worst}
 

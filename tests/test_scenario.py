@@ -468,6 +468,20 @@ class TestCheckRegistry:
             rows = check.residuals(cfg.with_seed(seed), None, {})
             assert rows["fs_consistency.constant"] > 0.5, (seed, rows)
 
+    @pytest.mark.parametrize("n", [2, 8, 32, 128])
+    def test_bracket_commutator_passes_at_every_n_from_one_draw_per_pair(self, n, monkeypatch):
+        check = CHECKS["bracket_commutator"]
+        cfg = config_from_dict(qubit_config(
+            n=n, hamiltonian={"kernel": {"real": np.diag(np.arange(n, dtype=float)).tolist()}},
+            initial_state={"rho": [1.0 / n] * n, "pi": [0.0] * n}, checks=["bracket_commutator"]))
+        draws = []
+        draw = scenario.random_hermitian_pair
+        monkeypatch.setattr(scenario, "random_hermitian_pair", lambda *args: draws.append(1) or draw(*args))
+        for seed in range(10):
+            rows = check.residuals(cfg.with_seed(seed), None, {})
+            assert rows["bracket_commutator"] <= check.tolerances["bracket_commutator"], (seed, rows)
+        assert len(draws) == 10 * 50
+
     def test_one_field_jacobian_per_sample_point(self, monkeypatch, tmp_path):
         calls = []
         build = flows._field_jacobian
@@ -570,22 +584,40 @@ class TestCli:
         result = CliRunner().invoke(cli_main, ["run", str(path)])
         assert result.exit_code == 2
 
-    def test_batch_runs_all(self, tmp_path):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_batch_runs_all(self, tmp_path, jobs):
         scenarios = tmp_path / "scenarios"
         scenarios.mkdir()
         self.write(scenarios, "a.json")
         self.write(scenarios, "b.json", seed=43)
-        out = tmp_path / "batch_out"
-        result = CliRunner().invoke(cli_main, ["batch", str(scenarios), "--out", str(out)])
-        assert result.exit_code == 0, result.output
-        assert (out / "a" / "qubit_report.json").exists()
-        assert (out / "b" / "qubit_report.json").exists()
+        # A serial reference run, then the run under test: same files, same bytes.
+        outputs = []
+        for run, run_jobs in enumerate(("1", jobs)):
+            out = tmp_path / f"batch_out_{run}"
+            args = ["batch", str(scenarios), "--out", str(out), "--jobs", run_jobs]
+            result = CliRunner().invoke(cli_main, args)
+            assert result.exit_code == 0, result.output
+            assert (out / "a" / "qubit_report.json").exists()
+            assert (out / "b" / "qubit_report.json").exists()
+            files = [path for path in out.rglob("*") if path.is_file()]
+            outputs.append({path.relative_to(out): path.read_bytes() for path in files})
+        assert outputs[1] == outputs[0]
 
     def test_batch_empty_dir(self, tmp_path):
         empty = tmp_path / "none"
         empty.mkdir()
         result = CliRunner().invoke(cli_main, ["batch", str(empty)])
         assert result.exit_code == 2
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    src = str(Path(simplexflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, simplexflow.cli; "
+            "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_python_dash_m_runs_the_cli():
