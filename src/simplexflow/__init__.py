@@ -65,7 +65,6 @@ from .hilbert import (
     from_complex,
     inner_product,
     propagate_unitary,
-    superposition,
     to_complex,
 )
 from .scenario import (
@@ -98,7 +97,6 @@ __all__ = [
     # hilbert
     "ComplexState", "HermitianOperator", "to_complex", "from_complex",
     "inner_product", "propagate_unitary", "commutator_identity_check",
-    "superposition",
     # diagnostics
     "ConvergenceStudy", "FsRatios",
     "FS_RATIO_CONSTANT", "DEFAULT_PARAM_FAMILIES", "sample_interior_points",

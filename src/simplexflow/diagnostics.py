@@ -28,7 +28,8 @@ from .geometry import (
     CANONICAL_PARAMS,
     MetricParams,
     _metric_blocks_derivative,
-    _metric_parts,
+    _times_metric,
+    _times_metric_inverse,
     as_vector,
     induced_metric_ts,
     phase_space_metric,
@@ -128,8 +129,8 @@ def lie_derivative_metric(
     Closed form: DV is the field Jacobian and V.dG the exact directional
     derivative of G = blockdiag(g, g^{-1}), so the residual is exact up to
     rounding at every n.  G is symmetric, so G DV = (DV^T G)^T, and DV^T G
-    is formed block by block in O(n^2) from g = diag(gamma) + a n n^T and
-    g^{-1} = diag(d) - c d d^T: a column scaling plus a rank-one term each.
+    is formed block by block in O(n^2) by the products with g and g^{-1}
+    in `geometry`.
     A Hermitian-kernel flow is Killing where B(|rho|) = 1.  For a
     |rho|-dependent B with B(1) = 1 that is only the normalized surface
     |rho| = 1, and off it the residual is of order one; for the constant
@@ -138,16 +139,11 @@ def lie_derivative_metric(
     """
     n = X.n
     G = phase_space_metric(X.rho, params)
-    gamma, a, d, c = _metric_parts(X.rho, params)
     jac = spec._jacobian_at(X)
     v_rho, _ = _field_arrays(spec, X.rho, X.pi)
     dg, dg_inv = _metric_blocks_derivative(X.rho, v_rho, params, G[n:, n:])
-    S = np.empty((2 * n, 2 * n))
-    np.multiply(jac[:n].T, gamma, out=S[:, :n])
-    np.multiply(jac[n:].T, d, out=S[:, n:])
-    if a != 0.0:
-        S[:, :n] += a * jac[:n].sum(axis=0)[:, None]
-        S[:, n:] -= np.outer(c * (d @ jac[n:]), d)
+    S = np.hstack((_times_metric(jac[:n].T, X.rho, params),
+                   _times_metric_inverse(jac[n:].T, X.rho, params)))
     residual = S + S.T
     residual[:n, :n] += dg
     residual[n:, n:] += dg_inv

@@ -53,6 +53,13 @@ PHASE_FLOOR = 1e-15
 NONLINEAR_TAGS = ("none", "sum_rho_squared", "quartic_psi")
 
 
+def _wrap(angles) -> np.ndarray:
+    """Angles reduced to [0, 2 pi).  np.mod rounds an angle just below zero
+    up to 2 pi itself, which is mapped to 0."""
+    wrapped = np.mod(angles, TWO_PI)
+    return np.where(wrapped == TWO_PI, 0.0, wrapped)
+
+
 def circle_difference(a, b) -> np.ndarray:
     """Componentwise a - b reduced to (-pi, pi]."""
     d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
@@ -100,7 +107,8 @@ class PhasePoint:
         return np.concatenate([self.rho, self.pi])
 
     def wrapped_pi(self) -> np.ndarray:
-        return np.mod(self.pi, TWO_PI)
+        """pi reduced to [0, 2 pi)."""
+        return _wrap(self.pi)
 
 
 def _hermitian_deviation(m: np.ndarray) -> float:
@@ -180,9 +188,9 @@ class HamiltonianSpec:
         kernel_deviation = 0.0 if self.kernel is None else _hermitian_deviation(self.kernel)
         return kernel_deviation, float(np.max(np.abs(ket - np.conj(bra))))
 
-    def is_valid_real(self, tol: float = HERMITIAN_TOL) -> bool:
-        """Whether the value is real for every point."""
-        return max(self.realness_deviations) <= tol
+    def is_valid_real(self) -> bool:
+        """Whether the value is real for every point, within HERMITIAN_TOL."""
+        return max(self.realness_deviations) <= HERMITIAN_TOL
 
     @cached_property
     def psi_form(self) -> tuple[np.ndarray | None, np.ndarray | float, float]:

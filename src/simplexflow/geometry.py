@@ -128,34 +128,47 @@ CANONICAL_PARAMS = MetricParams()
 
 def _metric_parts(rho: np.ndarray, params: MetricParams) -> tuple[np.ndarray, float, np.ndarray, float]:
     """(gamma, a, d, c) with g = diag(gamma) + a n n^T and, by the
-    diagonal-plus-rank-one identity, g^{-1} = diag(d) - c d d^T; c = 0 when
-    a = 0.  Exact up to rounding, with no generic solver."""
+    diagonal-plus-rank-one identity, g^{-1} = diag(d) - c d d^T, where
+    c = a / (1 + a sum(d)) is 0 when a = 0.  Exact up to rounding, with no
+    generic solver."""
     s = float(rho.sum())
     b = params.b_value(s)
     if b <= 0.0:
         raise ParamError(f"B(|rho|) = {b:g} is not positive at |rho| = {s:g}")
     a = params.a_value(s)
     d = 2.0 * rho / b
-    c = 0.0
-    if a != 0.0:
-        denom = 1.0 + a * float(d.sum())
-        if abs(denom) < 1e-12:
-            raise SingularError(
-                f"information metric is numerically singular (1 + A tr = {denom:.3e})"
-            )
-        c = a / denom
-    return b / (2.0 * rho), a, d, c
+    denom = 1.0 + a * float(d.sum())
+    if abs(denom) < 1e-12:
+        raise SingularError(f"information metric is numerically singular (1 + A tr = {denom:.3e})")
+    return b / (2.0 * rho), a, d, a / denom
 
 
 def _metric_blocks(rho: np.ndarray, params: MetricParams) -> tuple[np.ndarray, np.ndarray]:
     """(g, g^{-1}) as dense matrices, from `_metric_parts`."""
     gamma, a, d, c = _metric_parts(rho, params)
-    g = np.diag(gamma)
-    g_inv = np.diag(d)
+    return np.diag(gamma) + a, np.diag(d) - c * np.outer(d, d)
+
+
+def _times_metric(m: np.ndarray, rho: np.ndarray, params: MetricParams) -> np.ndarray:
+    """m g at rho in O(n^2): the columns of m scaled by gamma, plus a times
+    the row sums of m in every column, for g = diag(gamma) + a n n^T.  The
+    rank-one term is skipped when a = 0."""
+    gamma, a, _, _ = _metric_parts(rho, params)
+    out = m * gamma
     if a != 0.0:
-        g = g + a
-        g_inv = g_inv - c * np.outer(d, d)
-    return g, g_inv
+        out += a * m.sum(axis=1)[:, None]
+    return out
+
+
+def _times_metric_inverse(m: np.ndarray, rho: np.ndarray, params: MetricParams) -> np.ndarray:
+    """m g^{-1} at rho in O(n^2): the columns of m scaled by d, minus the
+    outer product of c (m d) and d, for g^{-1} = diag(d) - c d d^T.  The
+    rank-one term is skipped when c = 0."""
+    _, _, d, c = _metric_parts(rho, params)
+    out = m * d
+    if c != 0.0:
+        out -= np.outer(c * (m @ d), d)
+    return out
 
 
 def _metric_blocks_derivative(
@@ -166,10 +179,10 @@ def _metric_blocks_derivative(
 
     With s = |rho| and ds = sum(drho), dg = diag(delta) + alpha n n^T, where
     delta = (B'(s) ds - B(s) drho / rho) / (2 rho) and alpha = A'(s) ds, and
-    d(g^{-1}) = -g^{-1} dg g^{-1}.  That product is formed in O(n^2) from
-    g^{-1} = diag(d) - c d d^T: g^{-1} diag(delta) g^{-1} =
-    diag(u) g^{-1} - c d (g^{-1} u)^T with u = d delta, and the rank-one
-    part is alpha (g^{-1} n)(g^{-1} n)^T.
+    d(g^{-1}) = -g^{-1} dg g^{-1}, formed in O(n^2): the diagonal part is
+    `_times_metric_inverse` of g^{-1} diag(delta), a column scaling of
+    g^{-1}, and the rank-one part is alpha (g^{-1} n)(g^{-1} n)^T, skipped
+    when alpha = 0.
     """
     s = float(rho.sum())
     ds = float(drho.sum())
@@ -177,11 +190,7 @@ def _metric_blocks_derivative(
     alpha = _polyslope(params.a_coeffs, s) * ds
     dg = np.diag(delta)
     dg += alpha
-    _, _, d, c = _metric_parts(rho, params)
-    u = d * delta
-    dg_inv = -u[:, None] * g_inv
-    if c != 0.0:
-        dg_inv += np.outer(c * d, g_inv @ u)
+    dg_inv = _times_metric_inverse(g_inv * -delta, rho, params)
     if alpha != 0.0:
         e = g_inv.sum(axis=1)
         dg_inv -= np.outer(alpha * e, e)

@@ -18,10 +18,10 @@ import numpy as np
 from .errors import DimensionError
 from .flows import (
     PHASE_FLOOR,
-    TWO_PI,
     HamiltonianSpec,
     HermitianOperator,
     PhasePoint,
+    _wrap,
     poisson_bracket,
 )
 from .geometry import NORM_TOL, as_vector, readonly
@@ -69,7 +69,7 @@ def from_complex(state: ComplexState) -> tuple[PhasePoint, np.ndarray]:
     amplitude = np.abs(psi)
     rho = amplitude**2
     undefined = amplitude < PHASE_FLOOR
-    pi = np.where(undefined, 0.0, np.mod(np.angle(psi), TWO_PI))
+    pi = np.where(undefined, 0.0, _wrap(np.angle(psi)))
     return PhasePoint(rho, pi), readonly(undefined, dtype=bool)
 
 
@@ -115,16 +115,3 @@ def commutator_identity_check(
     lhs = poisson_bracket(U, V, point)
     rhs = 2.0 * float(np.vdot(U.kernel @ psi.psi, V.kernel @ psi.psi).imag)
     return lhs, rhs
-
-
-def superposition(c1: complex, psi1: ComplexState, c2: complex, psi2: ComplexState) -> ComplexState:
-    """c1 psi1 + c2 psi2.
-
-    The result carries its total weight in ``rho_total``; superposing
-    normalized states generally leaves the normalized surface, so callers
-    should inspect ``is_normalized`` before treating the result as a state on
-    the simplex.
-    """
-    if psi1.n != psi2.n:
-        raise DimensionError(f"states have dimensions {psi1.n} and {psi2.n}")
-    return ComplexState(complex(c1) * psi1.psi + complex(c2) * psi2.psi)

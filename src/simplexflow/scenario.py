@@ -41,7 +41,7 @@ from .flows import (
     check_normalization_generator,
     integrate_midpoint,
 )
-from .geometry import CANONICAL_PARAMS, MetricParams, _metric_parts, complex_structure
+from .geometry import CANONICAL_PARAMS, MetricParams, _times_metric, _times_metric_inverse, complex_structure
 from .hilbert import (
     ComplexState,
     commutator_identity_check,
@@ -522,20 +522,15 @@ def _max_abs(values) -> float:
 
 def _complex_structure_at(spec, X, params):
     # J = [[0, -g^-1], [g, 0]], so J J + 1 = blockdiag(1 - g^-1 g, 1 - g g^-1).
-    # Each product takes one block of J as stored and the other in its closed
-    # form, g = diag(gamma) + a n n^T and g^-1 = diag(d) - c d d^T, so both
-    # blocks are read and neither product costs more than O(n^2).
+    # Each product takes one block of J as stored and multiplies it by the
+    # other in O(n^2), so both blocks are read.  The second block is formed
+    # as g g^-1 - 1, whose largest modulus is the same.
     J = complex_structure(X.rho, params)
     n = X.n
-    neg_g_inv, g = J[:n, n:], J[n:, :n]
-    gamma, a, d, c = _metric_parts(X.rho, params)
-    first = neg_g_inv * gamma
-    second = g * -d
-    if a != 0.0:
-        first += a * neg_g_inv.sum(axis=1)[:, None]
-        second += np.outer(c * (g @ d), d)
+    first = _times_metric(J[:n, n:], X.rho, params)
+    second = _times_metric_inverse(J[n:, :n], X.rho, params)
     first.flat[:: n + 1] += 1.0
-    second.flat[:: n + 1] += 1.0
+    second.flat[:: n + 1] -= 1.0
     return max(_max_abs(first), _max_abs(second))
 
 

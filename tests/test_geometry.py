@@ -22,7 +22,8 @@ from simplexflow import (
     symplectic_eval,
     symplectic_matrix,
 )
-from simplexflow.diagnostics import sample_interior_points
+from simplexflow.diagnostics import DEFAULT_PARAM_FAMILIES, sample_interior_points
+from simplexflow.geometry import _metric_blocks, _times_metric, _times_metric_inverse
 
 AB_FAMILIES = [
     MetricParams(),
@@ -132,6 +133,26 @@ class TestPhaseSpaceMetric:
         rho = np.full(2, 1.0 / 2.8)
         with pytest.raises(SingularError):
             phase_space_metric(rho, params)
+
+
+class TestMetricProducts:
+    @pytest.mark.parametrize("n", [2, 8, 128])
+    def test_products_match_the_dense_products(self, n, rng):
+        # Bit-equal under the diagonal canonical metric, where every dense
+        # sum has one nonzero term; rounding-level relative to the scale of
+        # the product's terms otherwise.
+        for X in sample_interior_points(n, 2, rng=rng):
+            m = rng.standard_normal((n, n))
+            for params in DEFAULT_PARAM_FAMILIES:
+                g, g_inv = _metric_blocks(X.rho, params)
+                for product, block in ((_times_metric, g), (_times_metric_inverse, g_inv)):
+                    dense = m @ block
+                    fast = product(m, X.rho, params)
+                    if params == CANONICAL_PARAMS:
+                        assert np.array_equal(fast, dense), product.__name__
+                    else:
+                        scale = np.max(np.abs(m) @ np.abs(block))
+                        assert np.max(np.abs(fast - dense)) <= 1e-12 * scale, (product.__name__, params)
 
 
 class TestSymplectic:

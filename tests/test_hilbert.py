@@ -14,7 +14,6 @@ from simplexflow import (
     hamiltonian_vector_field,
     inner_product,
     propagate_unitary,
-    superposition,
     symplectic_matrix,
     to_complex,
 )
@@ -44,6 +43,12 @@ class TestChart:
         assert_allclose(point.rho, [0.36, 0.64], rtol=1e-15)
         assert_allclose(point.pi, [0.0, np.pi / 2], atol=1e-15)
         assert not flags.any()
+
+    def test_from_complex_maps_a_phase_just_below_zero_to_zero(self):
+        # np.mod(-1e-20, 2 pi) rounds to 2 pi itself, outside [0, 2 pi).
+        point, _ = from_complex(ComplexState([0.6, 0.8 * np.exp(-1e-20j)]))
+        assert point.pi.tolist() == [0.0, 0.0]
+        assert PhasePoint(point.rho, [0.0, -1e-20]).wrapped_pi().tolist() == [0.0, 0.0]
 
     def test_round_trip(self):
         X = PhasePoint([0.3, 0.7], [1.0, 5.0])
@@ -229,28 +234,6 @@ class TestCommutatorIdentity:
                       HamiltonianSpec(kernel=SIGMA_Z, nonlinear="quartic_psi")):
             with pytest.raises(ValueError):
                 commutator_identity_check(U, other, psi)
-
-
-class TestSuperposition:
-    def test_identity_combination(self):
-        psi1 = ComplexState([0.6, 0.8])
-        out = superposition(1.0, psi1, 0.0, ComplexState([1.0, 0.0]))
-        assert_allclose(out.psi, psi1.psi, atol=0)
-
-    def test_orthogonal_components_stay_normalized(self):
-        out = superposition(INV_SQRT2, ComplexState([1, 0]), INV_SQRT2, ComplexState([0, 1]))
-        assert_allclose(out.psi, [INV_SQRT2, INV_SQRT2], rtol=1e-15)
-        assert out.is_normalized
-
-    def test_parallel_components_leave_the_surface(self):
-        psi = ComplexState([1.0, 0.0])
-        out = superposition(INV_SQRT2, psi, INV_SQRT2, psi)
-        assert_allclose(out.rho_total, 2.0, rtol=1e-14)
-        assert not out.is_normalized
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            superposition(1.0, ComplexState([1, 0]), 1.0, ComplexState([1, 0, 0]))
 
 
 class TestBornRuleAndGauge:
