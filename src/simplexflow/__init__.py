@@ -25,6 +25,7 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DimensionError,
+    NonFiniteError,
     NormalizationError,
     NotHermitianError,
     NotRealError,
@@ -83,7 +84,7 @@ __all__ = [
     "__version__",
     # errors
     "SimplexFlowError", "BoundaryError", "ParamError", "SingularError",
-    "DimensionError", "NormalizationError", "NotRealError", "NotHermitianError",
+    "DimensionError", "NonFiniteError", "NormalizationError", "NotRealError", "NotHermitianError",
     "ConvergenceError", "ConfigError",
     # geometry
     "EPS_FLOOR", "MetricParams", "CANONICAL_PARAMS", "info_metric",

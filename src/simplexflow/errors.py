@@ -38,6 +38,10 @@ class ConvergenceError(SimplexFlowError):
     """An iterative solver failed to converge."""
 
 
+class NonFiniteError(SimplexFlowError):
+    """A computed step coefficient or state overflowed to inf or nan."""
+
+
 class ConfigError(SimplexFlowError):
     """Malformed scenario configuration; carries the full list of problems."""
 

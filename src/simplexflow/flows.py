@@ -31,6 +31,7 @@ import numpy as np
 from .errors import (
     ConvergenceError,
     DimensionError,
+    NonFiniteError,
     NormalizationError,
     NotHermitianError,
     NotRealError,
@@ -298,6 +299,9 @@ class Trajectory:
             raise DimensionError("trajectory fields have mismatched lengths")
         if taus.size > 1 and np.min(np.diff(taus)) <= 0.0:
             raise ValueError("parameter values must be strictly increasing")
+        for name, values in (("psi", psi), ("pi", pi)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} has non-finite entries")
         object.__setattr__(self, "parameter_values", readonly(taus))
         object.__setattr__(self, "psi", readonly(psi, dtype=complex))
         object.__setattr__(self, "pi", readonly(pi))
@@ -482,9 +486,11 @@ def integrate_midpoint(
     affine map.  With one, the cubic term is solved by fixed-point iteration
     from the explicit predictor; ConvergenceError is raised when an update is still above
     ``tol`` after ``max_iter`` sweeps, or at the first sweep whose update is
-    not finite.  rho_i = 0 is a regular point of the chart, so a flow passes
-    through the simplex boundary.  Records the normalization defect
-    |sum(rho) - 1| and the energy defect |H(X_k) - H(X_0)| at every sample.
+    not finite.  NonFiniteError is raised when the step coefficients, or the
+    state or its defects at some step, overflow.  rho_i = 0 is a regular point
+    of the chart, so a flow passes through the simplex boundary.  Records the
+    normalization defect |sum(rho) - 1| and the energy defect
+    |H(X_k) - H(X_0)| at every sample.
     """
     spec.require_valid_real()
     if not np.isfinite(h) or h <= 0.0:
@@ -496,27 +502,29 @@ def integrate_midpoint(
     _check_dim(spec, n)
     _, b, s = spec.psi_form
     w, V = (spec.hermitian_part or HermitianOperator(np.zeros((n, n)))).eigh
-    # In the eigenbasis of K, phi = V^H psi, M and B are the diagonals
-    # `rotation` and `gain` and c is `shift`, so a step is elementwise and the
-    # rounding of M does not accumulate along the trajectory the way a dense
-    # matrix product's would.
-    denom = 1.0 + 0.5j * h * w
-    rotation = (1.0 - 0.5j * h * w) / denom
-    gain = -1j * h / denom
-    V_h = V.conj().T
-    shift = gain * (V_h @ np.broadcast_to(b, n))
-    cubic_gain = s * gain
-
-    def kick(phi_mid):
-        """B g(psi) in the eigenbasis, for psi = V phi_mid."""
-        psi_mid = V @ phi_mid
-        return cubic_gain * (V_h @ (_weights(psi_mid) * psi_mid))
-
-    psi0 = _psi_from(X0.rho, X0.pi)
-    phi = np.empty((steps + 1, n), dtype=complex)
-    phi[0] = V_h @ psi0
-    # A diverging fixed-point solve overflows before it is caught below.
+    # Overflow is caught below, as NonFiniteError or ConvergenceError.
     with np.errstate(over="ignore", invalid="ignore"):
+        # In the eigenbasis of K, phi = V^H psi, M and B are the diagonals
+        # `rotation` and `gain` and c is `shift`, so a step is elementwise and
+        # the rounding of M does not accumulate along the trajectory the way a
+        # dense matrix product's would.
+        denom = 1.0 + 0.5j * h * w
+        rotation = (1.0 - 0.5j * h * w) / denom
+        gain = -1j * h / denom
+        V_h = V.conj().T
+        shift = gain * (V_h @ np.broadcast_to(b, n))
+        cubic_gain = s * gain
+        if not np.isfinite(np.concatenate([rotation, gain, shift, cubic_gain])).all():
+            raise NonFiniteError(f"midpoint step coefficients are not finite at h = {h!r}")
+
+        def kick(phi_mid):
+            """B g(psi) in the eigenbasis, for psi = V phi_mid."""
+            psi_mid = V @ phi_mid
+            return cubic_gain * (V_h @ (_weights(psi_mid) * psi_mid))
+
+        psi0 = _psi_from(X0.rho, X0.pi)
+        phi = np.empty((steps + 1, n), dtype=complex)
+        phi[0] = V_h @ psi0
         for k in range(steps):
             start = phi[k]
             affine = rotation * start + shift
@@ -537,16 +545,22 @@ def integrate_midpoint(
                         f" at step {k + 1}"
                     )
             phi[k + 1] = z
-    psi = phi @ V.T
-    psi[0] = psi0
-    rho = _weights(psi)
-    energy = _values(spec, psi, rho).real
+        psi = phi @ V.T
+        psi[0] = psi0
+        rho = _weights(psi)
+        energy = _values(spec, psi, rho).real
+        norm_defects = np.abs(rho.sum(axis=1) - 1.0)
+        energy_defects = np.abs(energy - energy[0])
+    # A non-finite psi makes its norm defect non-finite too.
+    finite = np.isfinite(norm_defects) & np.isfinite(energy_defects)
+    if not finite.all():
+        raise NonFiniteError(f"midpoint state is not finite at step {int(np.argmin(finite))}")
     return Trajectory(
         parameter_values=np.arange(steps + 1) * h,
         psi=psi,
         pi=_continuous_phase(psi, X0.pi),
-        norm_defects=np.abs(rho.sum(axis=1) - 1.0),
-        energy_defects=np.abs(energy - energy[0]),
+        norm_defects=norm_defects,
+        energy_defects=energy_defects,
     )
 
 

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._csvformat import format_table
 from ._version import __version__
 from .diagnostics import (
     FS_RATIO_CONSTANT,
@@ -76,8 +77,10 @@ UNITARY_NORM_TOL = 1e-13
 #: Largest |sum(rho) - 1| accepted in a configured initial state.
 INITIAL_NORM_TOL = 1e-9
 
-#: Trajectory rows formatted per write; bounds the CSV text held in memory.
-CSV_CHUNK_ROWS = 64
+#: Trajectory values formatted per write (whole rows, at least one).  It
+#: bounds the CSV text held in memory and keeps each of the formatter's byte
+#: work arrays (29 bytes per value) under 128 KiB.
+CSV_CHUNK_VALUES = 4096
 
 DEFAULT_CONVERGENCE_H = (4e-3, 2e-3, 1e-3, 5e-4)
 DEFAULT_CONVERGENCE_TAU = 1.0
@@ -419,10 +422,11 @@ def validate_config(path) -> ScenarioConfig:
 
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> Path:
-    """Round-trip-safe CSV: 17 significant digits per float column.
+    """Round-trip-safe CSV: each value as C's '%.17g' writes it.
 
-    Rows are formatted and written in chunks of CSV_CHUNK_ROWS, so the text
-    of the whole table is never held at once.
+    Rows are formatted by format_table and written in chunks of about
+    CSV_CHUNK_VALUES values, so the text of the whole table is never held
+    at once.
     """
     path = Path(path)
     n = trajectory.n
@@ -434,14 +438,14 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> Path:
         + [f"im_psi_{i + 1}" for i in range(n)]
         + ["norm_defect", "energy_defect"]
     )
-    row_format = "%d" + ",%.17g" * (len(header) - 1) + "\n"
+    chunk = max(1, CSV_CHUNK_VALUES // len(header))
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as out:
-        out.write(",".join(header) + "\n")
-        for start in range(0, len(trajectory), CSV_CHUNK_ROWS):
-            rows = slice(start, start + CSV_CHUNK_ROWS)
+    with path.open("wb") as out:
+        out.write((",".join(header) + "\n").encode())
+        for start in range(0, len(trajectory), chunk):
+            rows = slice(start, start + chunk)
             psi = trajectory.psi[rows]
-            table = np.column_stack([
+            out.write(format_table(np.column_stack([
                 np.arange(start, start + psi.shape[0]),
                 trajectory.parameter_values[rows],
                 trajectory.rho[rows],
@@ -450,8 +454,7 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> Path:
                 psi.imag,
                 trajectory.norm_defects[rows],
                 trajectory.energy_defects[rows],
-            ])
-            out.write("".join(row_format % tuple(row) for row in table.tolist()))
+            ])))
     return path
 
 

@@ -11,6 +11,7 @@ from simplexflow import (
     DimensionError,
     HamiltonianSpec,
     HermitianOperator,
+    NonFiniteError,
     NormalizationError,
     NotRealError,
     PhasePoint,
@@ -359,6 +360,18 @@ class TestIntegrateMidpoint:
             integrate_midpoint(slow, X0, 0.01, 10)
         assert str(excinfo.value) == "midpoint fixed point missed tolerance 1e-13 after 50 sweeps at step 1"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_raises_non_finite_error_without_warnings(self):
+        X0 = PhasePoint([0.36, 0.64], [0.0, 0.0])
+        huge = HamiltonianSpec(kernel=np.diag([1e300, -1e300]))
+        with pytest.raises(NonFiniteError, match="step coefficients are not finite"):
+            integrate_midpoint(huge, X0, 1e10, 3)
+        # Finite coefficients, but |psi|^2 overflows after the first step.
+        bra = np.array([1e307, 0.0])
+        shifted = HamiltonianSpec(kernel=np.zeros((2, 2)), linear_bra=bra, linear_ket=bra)
+        with pytest.raises(NonFiniteError, match="state is not finite at step 1$"):
+            integrate_midpoint(shifted, X0, 10.0, 5)
+
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_step_solves_the_midpoint_equation(self, n, rng):
         # (psi1 - psi0)/h equals the real-chart field at the midpoint state,
@@ -481,6 +494,13 @@ class TestTrajectoryType:
             Trajectory(np.array([0.0, 0.1]), psi, np.zeros((2, 3)), np.zeros(2), np.zeros(2))
         with pytest.raises(DimensionError):
             Trajectory(np.array([0.0, 0.1]), psi[0], pi[0], np.zeros(2), np.zeros(2))
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="psi has non-finite entries"):
+                Trajectory(np.array([0.0, 0.1]), np.where([[True, False]] * 2, psi, bad), pi,
+                           np.zeros(2), np.zeros(2))
+            with pytest.raises(ValueError, match="pi has non-finite entries"):
+                Trajectory(np.array([0.0, 0.1]), psi, np.where([[True, False]] * 2, pi, bad),
+                           np.zeros(2), np.zeros(2))
 
     def test_momenta_continuous_and_held_at_zero_amplitude(self):
         # Under sigma_z psi_2 stays exactly 0, so pi_2 keeps its initial

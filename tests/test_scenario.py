@@ -338,7 +338,7 @@ class TestRunScenario:
         cfg = config_from_dict(qubit_config(checks=[], integrator={"h": 1e-3, "steps": 150}))
         trajectory = integrate_midpoint(cfg.hamiltonian, cfg.initial, cfg.h, cfg.steps)
         lines = write_trajectory_csv(trajectory, tmp_path / "t.csv").read_text().splitlines()
-        assert len(lines) == 152  # header and three chunks of rows
+        assert len(lines) == 152  # the header and 151 rows, in one chunk of CSV_CHUNK_VALUES
         for k, line in enumerate(lines[1:]):
             values = [
                 trajectory.parameter_values[k], *trajectory.rho[k], *trajectory.pi[k],
@@ -583,6 +583,38 @@ class TestCli:
         path = self.write(tmp_path, integrator={"h": 1e-3, "steps": 0})
         result = CliRunner().invoke(cli_main, ["run", str(path)])
         assert result.exit_code == 2
+
+    def write_overflowing(self, directory, name="overflow.json"):
+        # A valid config whose Cayley step coefficients overflow.
+        return self.write(directory, name, id="overflow", integrator={"h": 1e10, "steps": 3},
+                          hamiltonian={"kernel": {"real": [[1e300, 0.0], [0.0, -1e300]]}},
+                          initial_state={"psi": {"real": [0.6, 0.8], "imag": [0.0, 0.0]}})
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_run_overflowing_flow_exits_2_with_an_error_record(self, tmp_path):
+        path = self.write_overflowing(tmp_path)
+        out = tmp_path / "out"
+        result = CliRunner().invoke(cli_main, ["run", str(path), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "error [NonFiniteError]" in result.output
+        report = json.loads((out / "overflow_report.json").read_text())
+        assert report["error"]["type"] == "NonFiniteError"
+        assert report["exit_ok"] is False and report["checks"] == []
+        assert not (out / "overflow_trajectory.csv").exists()
+
+    def test_batch_runs_the_files_after_an_overflowing_flow(self, tmp_path):
+        scenarios = tmp_path / "scenarios"
+        scenarios.mkdir()
+        self.write_overflowing(scenarios, "a.json")
+        self.write(scenarios, "b.json")
+        out = tmp_path / "out"
+        result = CliRunner().invoke(cli_main, ["batch", str(scenarios), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "a: exit 2" in result.output
+        assert json.loads((out / "a" / "overflow_report.json").read_text())["error"]["type"] == "NonFiniteError"
+        assert json.loads((out / "b" / "qubit_report.json").read_text())["exit_ok"] is True
+        assert (out / "b" / "qubit_trajectory.csv").exists()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_batch_runs_all(self, tmp_path, jobs):
