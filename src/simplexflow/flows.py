@@ -278,7 +278,8 @@ class Trajectory:
     ``psi`` holds the integrated states and ``rho`` = |psi|^2 is derived from
     it.  ``pi`` is continuous from the initial momenta: each row adds the
     phase increment of psi to the previous row, and a component with
-    |psi_i| < PHASE_FLOOR keeps its last value.
+    |psi_i| < PHASE_FLOOR keeps its last value.  ``sweeps`` counts the
+    fixed-point sweeps of each step (zeros when omitted, and for affine steps).
     """
 
     parameter_values: np.ndarray  # (m,)
@@ -286,6 +287,7 @@ class Trajectory:
     pi: np.ndarray                # (m, n)
     norm_defects: np.ndarray      # |sum(rho) - 1| per sample
     energy_defects: np.ndarray    # |H(X_k) - H(X_0)| per sample
+    sweeps: np.ndarray | None = None  # (m - 1,) int, per step
 
     def __post_init__(self):
         taus = as_vector(self.parameter_values, "parameter_values")
@@ -295,7 +297,8 @@ class Trajectory:
         energies = as_vector(self.energy_defects, "energy_defects")
         if psi.ndim != 2 or psi.shape != pi.shape:
             raise DimensionError(f"psi {psi.shape} and pi {pi.shape} must be equal (m, n) arrays")
-        if not (psi.shape[0] == taus.size == norms.size == energies.size):
+        sweeps = np.zeros(taus.size - 1, dtype=int) if self.sweeps is None else np.asarray(self.sweeps)
+        if not (psi.shape[0] == taus.size == norms.size == energies.size == sweeps.size + 1):
             raise DimensionError("trajectory fields have mismatched lengths")
         if taus.size > 1 and np.min(np.diff(taus)) <= 0.0:
             raise ValueError("parameter values must be strictly increasing")
@@ -307,6 +310,7 @@ class Trajectory:
         object.__setattr__(self, "pi", readonly(pi))
         object.__setattr__(self, "norm_defects", readonly(norms))
         object.__setattr__(self, "energy_defects", readonly(energies))
+        object.__setattr__(self, "sweeps", readonly(sweeps, dtype=int))
 
     def __len__(self) -> int:
         return self.parameter_values.size
@@ -465,6 +469,28 @@ def check_normalization_generator(spec: HamiltonianSpec, X: PhasePoint) -> float
     return float(dp.sum())
 
 
+def _count(name: str, value) -> int:
+    """``value`` as an int; ValueError unless it is an integer >= 1."""
+    try:
+        valid = int(value) == value and value >= 1
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+#: Weights of the quartic extrapolation 4 K_-1 - 6 K_-2 + 4 K_-3 - K_-4 of the
+#: last four converged kicks, at a step k with k % 4 == j in row j.  The kicks
+#: sit in a ring whose row r holds the latest step k' with k' % 4 == r.
+_EXTRAPOLATION = np.array([
+    [-1.0, 4.0, -6.0, 4.0],
+    [4.0, -1.0, 4.0, -6.0],
+    [-6.0, 4.0, -1.0, 4.0],
+    [4.0, -6.0, 4.0, -1.0],
+], dtype=complex)
+
+
 def integrate_midpoint(
     spec: HamiltonianSpec,
     X0: PhasePoint,
@@ -483,21 +509,26 @@ def integrate_midpoint(
     M = (I + i h K/2)^-1 (I - i h K/2), B = -i h (I + i h K/2)^-1 and c = B b,
     formed from the eigendecomposition of K (``spec.hermitian_part``), which
     keeps M unitary to rounding.  Without a nonlinear term the step is that
-    affine map.  With one, the cubic term is solved by fixed-point iteration
-    from the explicit predictor; ConvergenceError is raised when an update is still above
-    ``tol`` after ``max_iter`` sweeps, or at the first sweep whose update is
-    not finite.  NonFiniteError is raised when the step coefficients, or the
-    state or its defects at some step, overflow.  rho_i = 0 is a regular point
-    of the chart, so a flow passes through the simplex boundary.  Records the
-    normalization defect |sum(rho) - 1| and the energy defect
-    |H(X_k) - H(X_0)| at every sample.
+    affine map.  With one, the kick B g(...) is solved by fixed-point
+    iteration.  The first four steps start it from the explicit predictor,
+    the kick at psi0; every later step starts from the quartic extrapolation
+    4 K_-1 - 6 K_-2 + 4 K_-3 - K_-4 of the last four converged kicks, which
+    usually leaves one sweep per step.  ConvergenceError is raised when an
+    update is still above ``tol`` after ``max_iter`` sweeps, or at the first
+    sweep whose update is not finite.  NonFiniteError is raised when the step
+    coefficients, or the state or its defects at some step, overflow.
+    rho_i = 0 is a regular point of the chart, so a flow passes through the
+    simplex boundary.  Records the normalization defect |sum(rho) - 1| and
+    the energy defect |H(X_k) - H(X_0)| at every sample, and the sweeps of
+    every step.
     """
     spec.require_valid_real()
     if not np.isfinite(h) or h <= 0.0:
         raise ValueError(f"h must be positive and finite, got {h!r}")
-    if int(steps) != steps or steps < 1:
-        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
-    steps = int(steps)
+    steps = _count("steps", steps)
+    max_iter = _count("max_iter", max_iter)
+    if not math.isfinite(tol) or tol < 0.0:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     n = X0.n
     _check_dim(spec, n)
     _, b, s = spec.psi_form
@@ -517,34 +548,57 @@ def integrate_midpoint(
         if not np.isfinite(np.concatenate([rotation, gain, shift, cubic_gain])).all():
             raise NonFiniteError(f"midpoint step coefficients are not finite at h = {h!r}")
 
-        def kick(phi_mid):
-            """B g(psi) in the eigenbasis, for psi = V phi_mid."""
-            psi_mid = V @ phi_mid
-            return cubic_gain * (V_h @ (_weights(psi_mid) * psi_mid))
-
         psi0 = _psi_from(X0.rho, X0.pi)
         phi = np.empty((steps + 1, n), dtype=complex)
         phi[0] = V_h @ psi0
+        sweeps = np.zeros(steps, dtype=int)
+        if s:
+            # Work vectors of the solve, and the ring of the last four kicks.
+            z, update, psi_mid, cubic = np.empty((4, n), dtype=complex)
+            weights, squares = np.empty((2, n))
+            kicks = np.empty((4, n), dtype=complex)
+
+            def kick(out, phi_mid):
+                """out = B g(psi) in the eigenbasis, for psi = V phi_mid; out may be phi_mid."""
+                np.dot(V, phi_mid, out=psi_mid)
+                np.multiply(psi_mid.real, psi_mid.real, weights)
+                np.multiply(psi_mid.imag, psi_mid.imag, squares)
+                np.add(weights, squares, weights)
+                np.multiply(weights, psi_mid, cubic)
+                np.dot(V_h, cubic, out=out)
+                np.multiply(cubic_gain, out, out)
+
         for k in range(steps):
-            start = phi[k]
-            affine = rotation * start + shift
-            z = affine
-            if s:
-                z = affine + kick(start)
-                for _ in range(max_iter):
-                    update = affine + kick(0.5 * (start + z))
-                    delta = float(abs(update - z).max())
-                    z = update
-                    if delta <= tol:
-                        break
-                    if not math.isfinite(delta):
-                        raise ConvergenceError(f"midpoint fixed point diverged at step {k + 1}")
-                else:
-                    raise ConvergenceError(
-                        f"midpoint fixed point missed tolerance {tol:g} after {max_iter} sweeps"
-                        f" at step {k + 1}"
-                    )
-            phi[k + 1] = z
+            start, affine = phi[k], phi[k + 1]
+            np.multiply(rotation, start, affine)
+            np.add(affine, shift, affine)
+            if not s:
+                continue
+            if k < 4:
+                kick(z, start)
+            else:
+                np.dot(_EXTRAPOLATION[k % 4], kicks, out=z)
+            np.add(affine, z, z)
+            for sweep in range(1, max_iter + 1):
+                np.add(start, z, update)
+                np.multiply(0.5, update, update)
+                kick(update, update)
+                np.add(affine, update, update)
+                np.subtract(update, z, psi_mid)
+                delta = float(np.abs(psi_mid, weights).max())
+                z, update = update, z
+                if delta <= tol:
+                    break
+                if not math.isfinite(delta):
+                    raise ConvergenceError(f"midpoint fixed point diverged at step {k + 1}")
+            else:
+                raise ConvergenceError(
+                    f"midpoint fixed point missed tolerance {tol:g} after {max_iter} sweeps"
+                    f" at step {k + 1}"
+                )
+            sweeps[k] = sweep
+            np.subtract(z, affine, kicks[k % 4])
+            np.copyto(affine, z)
         psi = phi @ V.T
         psi[0] = psi0
         rho = _weights(psi)
@@ -561,6 +615,7 @@ def integrate_midpoint(
         pi=_continuous_phase(psi, X0.pi),
         norm_defects=norm_defects,
         energy_defects=energy_defects,
+        sweeps=sweeps,
     )
 
 

@@ -710,6 +710,9 @@ def run_scenario(config: ScenarioConfig, *, out_dir=None, seed_override: int | N
         trajectory = integrate_midpoint(cfg.hamiltonian, cfg.initial, cfg.h, cfg.steps)
     except SimplexFlowError as exc:
         return numeric_error(exc, [], None)
+    if cfg.hamiltonian.psi_form[2]:
+        sweeps = trajectory.sweeps
+        base_report["solver"] = {"sweeps_max": int(sweeps.max()), "sweeps_mean": float(sweeps.mean())}
     write_trajectory_csv(trajectory, trajectory_path)
     sampled = dict.fromkeys(request.name for request in cfg.checks if CHECKS[request.name].at)
     maxima = _sampled_maxima(cfg.hamiltonian, _scenario_points(cfg) if sampled else [], cfg.metric_params,

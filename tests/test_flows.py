@@ -395,13 +395,68 @@ class TestIntegrateMidpoint:
         assert np.max(traj.energy_defects) <= 1e-13
         assert np.max(traj.norm_defects) <= 1e-13
 
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_every_step_solves_the_midpoint_equation(self, n, rng):
+        # Steps 5 on start from the extrapolated kicks, so check each one.
+        h = 1e-2
+        for label, spec in spec_kinds(n, rng)[2:]:
+            X0 = sample_interior_points(n, 1, rng=rng, include_barycenter=False)[0]
+            psi = integrate_midpoint(spec, X0, h, 12).psi
+            for k, (psi0, psi1) in enumerate(zip(psi[:-1], psi[1:])):
+                mid, _ = from_complex(ComplexState(0.5 * (psi0 + psi1)))
+                fr, fp = _field_arrays(spec, mid.rho, mid.pi)
+                field = 0.5 * (psi0 + psi1) * (fr / (2 * mid.rho) + 1j * fp)
+                assert np.max(np.abs((psi1 - psi0) / h - field)) <= 1e-12, (label, k)
+
+    def test_affine_rows_follow_the_reference_recurrence_bit_for_bit(self, rng):
+        h, steps = 1e-2, 30
+        for label, spec in spec_kinds(3, rng)[:2]:
+            X0 = sample_interior_points(3, 1, rng=rng, include_barycenter=False)[0]
+            traj = integrate_midpoint(spec, X0, h, steps)
+            w, V = spec.hermitian_part.eigh
+            denom = 1.0 + 0.5j * h * w
+            rotation = (1.0 - 0.5j * h * w) / denom
+            V_h = V.conj().T
+            shift = (-1j * h / denom) * (V_h @ np.broadcast_to(spec.psi_form[1], 3))
+            phi = np.empty((steps + 1, 3), dtype=complex)
+            phi[0] = V_h @ traj.psi[0]
+            for k in range(steps):
+                phi[k + 1] = rotation * phi[k] + shift
+            assert np.array_equal(traj.psi[1:], (phi @ V.T)[1:]), label
+            assert not traj.sweeps.any(), label
+
+    def test_extrapolated_start_leaves_one_sweep_per_step(self):
+        rng = np.random.default_rng(8)
+        kernel = random_hermitian(8, rng)
+        kernel /= np.linalg.norm(kernel, 2)
+        X0 = sample_interior_points(8, 1, rng=rng, include_barycenter=False)[0]
+        spec = HamiltonianSpec(kernel=kernel, nonlinear="quartic_psi")
+        sweeps = integrate_midpoint(spec, X0, 1e-3, 200).sweeps
+        assert sweeps.shape == (200,) and sweeps.min() >= 1
+        assert sweeps[4:].mean() <= 1.1
+
+    @pytest.mark.parametrize("strength, h, explicit_start_sweeps", [(10.0, 1e-2, 1288), (5.0, 5e-2, 2392),
+                                                                    (1.0, 0.3, 3002)])
+    def test_stiff_solves_need_no_more_sweeps_than_the_explicit_start(self, strength, h, explicit_start_sweeps):
+        # The totals of a solve that starts every step from the explicit
+        # predictor, over the same 100 steps.
+        spec = HamiltonianSpec(kernel=SIGMA_X, nonlinear="quartic_psi", nonlinear_strength=strength)
+        traj = integrate_midpoint(spec, PhasePoint([0.6, 0.4], [0.3, 1.1]), h, 100)
+        assert traj.sweeps.sum() <= explicit_start_sweeps
+
     def test_parameter_validation(self):
-        spec = HamiltonianSpec(kernel=SIGMA_X)
         X0 = PhasePoint([0.6, 0.4], [0.0, 0.0])
-        with pytest.raises(ValueError):
-            integrate_midpoint(spec, X0, -1e-3, 10)
-        with pytest.raises(ValueError):
-            integrate_midpoint(spec, X0, 1e-3, 0)
+        for spec in (HamiltonianSpec(kernel=SIGMA_X), HamiltonianSpec(kernel=SIGMA_X, nonlinear="quartic_psi")):
+            with pytest.raises(ValueError):
+                integrate_midpoint(spec, X0, -1e-3, 10)
+            with pytest.raises(ValueError):
+                integrate_midpoint(spec, X0, 1e-3, 0)
+            for max_iter in (-3, 0, 2.5, np.inf, None):
+                with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
+                    integrate_midpoint(spec, X0, 1e-3, 10, max_iter=max_iter)
+            for tol in (np.nan, np.inf, -1e-13):
+                with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+                    integrate_midpoint(spec, X0, 1e-3, 10, tol=tol)
 
     def test_step_map_is_symplectic(self, rng):
         # Push tangent pairs through the finite-difference Jacobian of one step.
@@ -486,6 +541,9 @@ class TestTrajectoryType:
         assert_allclose(traj.rho, 0.5, rtol=1e-15)
         assert_allclose(traj.point(1).rho, traj.rho[1], rtol=0, atol=0)
         assert not traj.psi.flags.writeable and not traj.pi.flags.writeable
+        assert traj.sweeps.tolist() == [0] and not traj.sweeps.flags.writeable
+        with pytest.raises(DimensionError):
+            Trajectory(np.array([0.0, 0.1]), psi, pi, np.zeros(2), np.zeros(2), sweeps=[1, 1])
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 0.0]), psi, pi, np.zeros(2), np.zeros(2))
         with pytest.raises(DimensionError):

@@ -213,6 +213,24 @@ class TestRunScenario:
         assert result.exit_code == 1
         assert result.report["exit_ok"] is False
 
+    def test_solver_counters_only_for_nonlinear_specs(self, tmp_path):
+        control = config_from_dict(
+            qubit_config(
+                id="control3",
+                hamiltonian={
+                    "kernel": {"real": [[0.0, 1.0], [1.0, 0.0]]},
+                    "nonlinear": {"tag": "sum_rho_squared", "strength": 1.0},
+                },
+                integrator={"h": 1e-3, "steps": 100},
+                checks=[],
+            )
+        )
+        report = run_scenario(control, out_dir=tmp_path / "control").report
+        sweeps = integrate_midpoint(control.hamiltonian, control.initial, control.h, control.steps).sweeps
+        assert report["solver"] == {"sweeps_max": int(sweeps.max()), "sweeps_mean": float(sweeps.mean())}
+        assert 1 <= report["solver"]["sweeps_mean"] <= report["solver"]["sweeps_max"]
+        assert "solver" not in run_scenario(config_from_dict(qubit_config(checks=[])), out_dir=tmp_path).report
+
     def test_numeric_error_produces_error_record(self, tmp_path):
         # At strength 40 and h = 0.01 the cubic term's fixed-point map barely
         # contracts, so 50 sweeps miss the solver tolerance.
