@@ -264,13 +264,14 @@ def complex_structure(rho, params: MetricParams = CANONICAL_PARAMS) -> np.ndarra
 
 
 def embedding_length(drho, dpi, rho, params: MetricParams = CANONICAL_PARAMS) -> float:
-    """Squared length g(drho, drho) + g^{-1}(dpi, dpi) of a displacement."""
+    """Squared length g(drho, drho) + g^{-1}(dpi, dpi) of a displacement,
+    in O(n) from the diagonal-plus-rank-one forms of `_metric_parts`."""
     rho = as_vector(rho, "rho")
     require_interior(rho)
     drho = as_vector(drho, "drho", rho.size)
     dpi = as_vector(dpi, "dpi", rho.size)
-    g, g_inv = _metric_blocks(rho, params)
-    return float(drho @ g @ drho + dpi @ g_inv @ dpi)
+    gamma, a, d, c = _metric_parts(rho, params)
+    return float(gamma @ drho**2 + a * drho.sum() ** 2 + d @ dpi**2 - c * (d @ dpi) ** 2)
 
 
 def induced_metric_ts(rho, drho, dpi, params: MetricParams = CANONICAL_PARAMS) -> float:
@@ -278,10 +279,11 @@ def induced_metric_ts(rho, drho, dpi, params: MetricParams = CANONICAL_PARAMS) -
     (drho, dpi + nu n).
 
     The target is quadratic in nu, so the minimizer is closed form,
-    nu = -(n.g^{-1}.dpi) / (n.g^{-1}.n); on the normalized surface this is
-    the weighted mean -sum(rho_i dpi_i).  The minimum vanishes on the pure
-    gauge direction dpi = const and, once B(1) is fixed, does not depend on
-    the A and B functions at all.
+    nu = -(n.g^{-1}.dpi) / (n.g^{-1}.n), which for g^{-1} = diag(d) - c d d^T
+    is the d-weighted mean -(d.dpi) / sum(d); on the normalized surface this
+    is -sum(rho_i dpi_i).  The minimum vanishes on the pure gauge direction
+    dpi = const and, once B(1) is fixed, does not depend on the A and B
+    functions at all.  O(n), like `embedding_length`.
 
     Requires sum(rho) = 1 and sum(drho) = 0, both within 1e-12.
     """
@@ -295,9 +297,5 @@ def induced_metric_ts(rho, drho, dpi, params: MetricParams = CANONICAL_PARAMS) -
     drift = float(drho.sum())
     if abs(drift) > NORM_TOL:
         raise NormalizationError(f"drho must be tangent to the simplex, sum(drho) = {drift:.3e}")
-    g, g_inv = _metric_blocks(rho, params)
-    w = g_inv @ dpi
-    gauge_weight = float(g_inv.sum())
-    nu = -float(w.sum()) / gauge_weight
-    shifted = dpi + nu
-    return float(drho @ g @ drho + shifted @ g_inv @ shifted)
+    _, _, d, _ = _metric_parts(rho, params)
+    return embedding_length(drho, dpi - float(d @ dpi) / float(d.sum()), rho, params)

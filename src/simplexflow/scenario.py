@@ -42,7 +42,14 @@ from .flows import (
     check_normalization_generator,
     integrate_midpoint,
 )
-from .geometry import CANONICAL_PARAMS, MetricParams, _times_metric, _times_metric_inverse, complex_structure
+from .geometry import (
+    CANONICAL_PARAMS,
+    MetricParams,
+    _times_metric,
+    _times_metric_inverse,
+    complex_structure,
+    induced_metric_ts,
+)
 from .hilbert import (
     ComplexState,
     commutator_identity_check,
@@ -111,14 +118,26 @@ class ScenarioConfig:
 
     @cached_property
     def config_hash(self) -> str:
-        """SHA-256 of the canonical JSON of ``resolved``, computed once per config."""
-        canonical = json.dumps(self.resolved, sort_keys=True, separators=(",", ":"))
+        """SHA-256 of the canonical JSON of ``resolved``, arrays as `_array_digest`; once per config."""
+        canonical = json.dumps(self.resolved, sort_keys=True, separators=(",", ":"), default=_array_digest)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
-        resolved = dict(self.resolved)
-        resolved["seed"] = int(seed)
-        return replace(self, seed=int(seed), resolved=resolved)
+        seed = _checked_seed(seed)
+        return replace(self, seed=seed, resolved={**self.resolved, "seed": seed})
+
+
+def _array_digest(array: np.ndarray) -> dict:
+    """A complex array as its dtype, shape and the SHA-256 of its C-order little-endian bytes."""
+    data = np.ascontiguousarray(array, dtype="<c16")
+    return {"dtype": "<c16", "shape": list(data.shape), "sha256": hashlib.sha256(data).hexdigest()}
+
+
+def _checked_seed(seed) -> int:
+    """The seed itself: an integer, not a bool, in [0, 2^64); else ConfigError."""
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
+        raise ConfigError([f"seed must be an integer in [0, 2^64), got {seed!r}"])
+    return seed
 
 
 @dataclass(frozen=True)
@@ -168,10 +187,6 @@ def _parse_complex(node, name: str, shape: tuple[int, ...], errors: list[str], r
         errors.append(f"{name} has non-finite entries")
         return None
     return real + 1j * imag
-
-
-def _complex_to_node(arr: np.ndarray) -> dict:
-    return {"real": np.real(arr).tolist(), "imag": np.imag(arr).tolist()}
 
 
 def config_from_dict(data, *, scenario_id: str = "scenario") -> ScenarioConfig:
@@ -291,7 +306,7 @@ def config_from_dict(data, *, scenario_id: str = "scenario") -> ScenarioConfig:
                     errors.append(f"initial_state.psi must be normalized (total weight {weight!r})")
                 else:
                     initial, _ = from_complex(ComplexState(psi))
-                    initial_node = {"psi": _complex_to_node(psi)}
+                    initial_node = {"psi": {"real": psi.real.tolist(), "imag": psi.imag.tolist()}}
     if initial is not None:
         # The total may be off by up to INITIAL_NORM_TOL, but the
         # conservation.norm_defect row measures |sum(rho) - 1| against
@@ -335,9 +350,10 @@ def config_from_dict(data, *, scenario_id: str = "scenario") -> ScenarioConfig:
                 continue
             checks.append(CheckRequest(name, expect))
 
-    seed = data.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or not (0 <= seed < 2**64):
-        errors.append(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    try:
+        seed = _checked_seed(data.get("seed", 0))
+    except ConfigError as exc:
+        errors += exc.errors
         seed = 0
 
     output = data.get("output", {})
@@ -377,9 +393,9 @@ def config_from_dict(data, *, scenario_id: str = "scenario") -> ScenarioConfig:
         "n": n,
         "metric_params": {"a_coeffs": list(params.a_coeffs), "b_coeffs": list(params.b_coeffs)},
         "hamiltonian": {
-            "kernel": _complex_to_node(spec.kernel),
-            "linear_bra": None if spec.linear_bra is None else _complex_to_node(spec.linear_bra),
-            "linear_ket": None if spec.linear_ket is None else _complex_to_node(spec.linear_ket),
+            "kernel": spec.kernel,
+            "linear_bra": spec.linear_bra,
+            "linear_ket": spec.linear_ket,
             "constant": spec.constant,
             "nonlinear": {"tag": spec.nonlinear, "strength": spec.nonlinear_strength},
         },
@@ -571,16 +587,18 @@ def _ab_independence(config, trajectory, extras):
 
 def _fs_consistency(config, trajectory, extras):
     rng = _check_rng(config, "fs_consistency")
-    psi = to_complex(_single_interior_point(config.n, rng))
+    point = _single_interior_point(config.n, rng)
+    psi = to_complex(point)
     limits = []
     cauchy = 0.0
     for _ in range(5):
-        # The ratio approaches its limit linearly in eps * |direction|,
-        # so the probe directions are normalized to a fixed small length.
+        # The ratio approaches its limit linearly in eps times the probe's
+        # length in the ray metric, whose entries grow like n, so each probe
+        # is scaled to ray-metric length 1/4.
         drho = rng.standard_normal(config.n)
         drho -= drho.mean()
         dpi = rng.standard_normal(config.n)
-        scale = 4.0 * float(np.sqrt(drho @ drho + dpi @ dpi))
+        scale = 4.0 * math.sqrt(induced_metric_ts(point.rho, drho, dpi))
         drho, dpi = drho / scale, dpi / scale
         ratios = fs_consistency(psi, drho, dpi, (1e-2, 3e-3, 1e-3, 3e-4, 1e-4))
         limits.append(ratios.limit)
@@ -687,7 +705,7 @@ def run_scenario(config: ScenarioConfig, *, out_dir=None, seed_override: int | N
     does not, 2 on a numeric error (which still produces a machine-readable
     error record in the report file).
     """
-    cfg = config if seed_override is None else config.with_seed(int(seed_override))
+    cfg = config if seed_override is None else config.with_seed(seed_override)
     out = Path(out_dir) if out_dir is not None else Path.cwd()
     trajectory_path = out / cfg.trajectory_path
     report_path = out / cfg.report_path

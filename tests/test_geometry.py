@@ -154,6 +154,24 @@ class TestMetricProducts:
                         scale = np.max(np.abs(m) @ np.abs(block))
                         assert np.max(np.abs(fast - dense)) <= 1e-12 * scale, (product.__name__, params)
 
+    @pytest.mark.parametrize("n", [2, 8, 128])
+    def test_lengths_match_the_dense_forms(self, n, rng):
+        # embedding_length and induced_metric_ts read the diagonal-plus-rank-one
+        # parts in O(n); the dense g and g^-1 give the same values to rounding
+        # relative to the scale of the terms.
+        for X in sample_interior_points(n, 2, rng=rng):
+            drho = rng.standard_normal(n)
+            drho -= drho.mean()
+            dpi = rng.standard_normal(n)
+            for params in DEFAULT_PARAM_FAMILIES:
+                g, g_inv = _metric_blocks(X.rho, params)
+                shifted = dpi - (g_inv @ dpi).sum() / g_inv.sum()
+                for fast, u in ((embedding_length(drho, dpi, X.rho, params), dpi),
+                                (induced_metric_ts(X.rho, drho, dpi, params), shifted)):
+                    dense = drho @ g @ drho + u @ g_inv @ u
+                    scale = np.abs(drho) @ np.abs(g) @ np.abs(drho) + np.abs(u) @ np.abs(g_inv) @ np.abs(u)
+                    assert abs(fast - dense) <= 1e-13 * scale, params
+
 
 class TestSymplectic:
     def test_unit_pairing(self):

@@ -1,10 +1,13 @@
+import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +138,21 @@ class TestValidateConfig:
         with pytest.raises(ConfigError) as excinfo:
             config_from_dict(cfg)
         assert len(excinfo.value.errors) >= 4
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, "7"])
+    def test_bad_seed_rejected_by_config_and_override(self, seed, tmp_path):
+        message = f"seed must be an integer in [0, 2^64), got {seed!r}"
+        with pytest.raises(ConfigError) as excinfo:
+            config_from_dict(qubit_config(seed=seed))
+        assert excinfo.value.errors == [message]
+        cfg = config_from_dict(qubit_config(checks=[]))
+        with pytest.raises(ConfigError) as excinfo:
+            cfg.with_seed(seed)
+        assert excinfo.value.errors == [message]
+        with pytest.raises(ConfigError):
+            run_scenario(cfg, out_dir=tmp_path, seed_override=seed)
+        assert not any(tmp_path.iterdir())
+        assert cfg.with_seed(2**64 - 1).resolved["seed"] == 2**64 - 1
 
     def test_malformed_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -405,6 +423,59 @@ README_ROWS = [
 ]
 
 
+def old_canonical_json(cfg) -> str:
+    """The canonical JSON that config_hash digested before arrays were
+    hashed by their bytes: every complex array as nested lists of floats."""
+    def node(array):
+        return {"real": array.real.tolist(), "imag": array.imag.tolist()}
+    return json.dumps(cfg.resolved, sort_keys=True, separators=(",", ":"), default=node)
+
+
+class TestConfigHash:
+    #: The README example's hash, on every supported Python and NumPy.
+    README_HASH = "57c202d95388aa5ade788cb9aae6baacc855e2030e3138c45f71db92738cff64"
+
+    def test_readme_example_hash_is_pinned(self):
+        assert config_from_dict(readme_example()).config_hash == self.README_HASH
+
+    def test_equal_exactly_when_the_old_canonical_json_is_equal(self):
+        one_ulp = float(np.nextafter(1.0, 2.0))
+        linear = {"linear_bra": {"real": [0.1, 0.2]}, "linear_ket": {"real": [0.1, 0.2]}}
+        kernels = {
+            "float": {"real": [[0.0, 1.0], [1.0, 0.0]]},
+            "int": {"real": [[0, 1], [1, 0]]},
+            "zero imag": {"real": [[0.0, 1.0], [1.0, 0.0]], "imag": [[0.0, 0.0], [0.0, 0.0]]},
+            "signed zero": {"real": [[-0.0, 1.0], [1.0, -0.0]], "imag": [[-0.0, 0.0], [0.0, -0.0]]},
+            "one ulp": {"real": [[0.0, one_ulp], [one_ulp, 0.0]]},
+        }
+        variants = {name: qubit_config(hamiltonian={"kernel": kernel}) for name, kernel in kernels.items()}
+        variants["linear"] = qubit_config(hamiltonian={"kernel": kernels["float"], **linear})
+        variants["linear, zero imag"] = qubit_config(hamiltonian={
+            "kernel": kernels["float"],
+            **{key: {"real": [0.1, 0.2], "imag": [0.0, 0.0]} for key in linear}})
+        variants["seed"] = qubit_config(hamiltonian={"kernel": kernels["float"]}, seed=43)
+        variants["signed zero pi"] = qubit_config(initial_state={"rho": [0.9, 0.1], "pi": [-0.0, 0.0]})
+        variants["zero pi"] = qubit_config(initial_state={"rho": [0.9, 0.1], "pi": [0.0, 0.0]})
+        configs = {name: config_from_dict(data) for name, data in variants.items()}
+        old = {name: old_canonical_json(cfg) for name, cfg in configs.items()}
+        new = {name: cfg.config_hash for name, cfg in configs.items()}
+        for first, second in itertools.combinations(configs, 2):
+            assert (old[first] == old[second]) == (new[first] == new[second]), (first, second)
+        # The cases cover both sides: integer entries and omitted imaginary
+        # parts resolve to the same arrays, a signed zero or an ulp does not.
+        assert new["float"] == new["int"] == new["zero imag"]
+        assert new["linear"] == new["linear, zero imag"]
+        assert len({new[name] for name in ("float", "signed zero", "one ulp", "linear", "seed")}) == 5
+        assert new["signed zero pi"] != new["zero pi"]
+
+    def test_key_order_and_whitespace_do_not_matter(self, tmp_path):
+        data = readme_example()
+        compact, spread = tmp_path / "compact.json", tmp_path / "spread.json"
+        compact.write_text(json.dumps(data, separators=(",", ":")))
+        spread.write_text(json.dumps(dict(reversed(list(data.items()))), indent=7))
+        assert validate_config(compact).config_hash == validate_config(spread).config_hash == self.README_HASH
+
+
 class TestCheckRegistry:
     @pytest.mark.parametrize("n", [2, 5])
     def test_classify_flow_gives_the_verdict_of_the_cli_rows(self, n, rng, tmp_path):
@@ -468,18 +539,20 @@ class TestCheckRegistry:
                 else:
                     assert abs(blocks - dense) <= 1e-12, params
 
-    @pytest.mark.parametrize("n", [2, 8, 32, 128])
+    @pytest.mark.parametrize("n", [2, 8, 32, 128, 4096])
     def test_fs_consistency_passes_at_every_n_and_fails_a_wrong_unit(self, n, monkeypatch):
         # The check's own draws at config seeds 0-9: every row passes under the
-        # canonical metric, and B(1) = 2, which breaks the frozen constant 2.0,
-        # fails the constant row by far more than the tolerance.
+        # canonical metric, in O(n) time, and B(1) = 2, which breaks the frozen
+        # constant 2.0, fails the constant row by far more than the tolerance.
+        # The check reads only n and the seed, so a qubit config stands in for
+        # the n x n kernel.
         check = CHECKS["fs_consistency"]
-        cfg = config_from_dict(qubit_config(
-            n=n, hamiltonian={"kernel": {"real": np.diag(np.arange(n, dtype=float)).tolist()}},
-            initial_state={"rho": [1.0 / n] * n, "pi": [0.0] * n}, checks=["fs_consistency"]))
+        cfg = dataclasses.replace(config_from_dict(qubit_config(checks=["fs_consistency"])), n=n)
+        start = time.perf_counter()
         for seed in range(10):
             rows = check.residuals(cfg.with_seed(seed), None, {})
             assert all(rows[name] <= tol for name, tol in check.tolerances.items()), (seed, rows)
+        assert time.perf_counter() - start < 2.0
         wrong_unit = functools.partial(scenario.fs_consistency, params=MetricParams(b_coeffs=(2.0,)))
         monkeypatch.setattr(scenario, "fs_consistency", wrong_unit)
         for seed in range(10):
