@@ -4,10 +4,18 @@
 D = round(|x| * 10^(16 - e)), with the decimal exponent e chosen so that the
 scaled value lies in [1e16, 1e17).  The product is exact enough to round
 correctly: 10^p is held as hi + lo (lo the rounded remainder) and a * hi is
-split exactly by Dekker's algorithm.  The digits come from base-100 pairs and
-are laid out by per-case byte tables.  Every other value (zero, inf, nan, the
+split exactly by Dekker's algorithm.  Every other value (zero, inf, nan, the
 very small and the very large), and every value whose scaled value lies
 within 1e-6 of a rounding tie, is formatted by '%.17g' itself.
+
+Each value gets a cell of _CELL bytes, whose NUL bytes are dropped on
+output.  D is split once into its leading digit and four groups of four,
+whose characters come from a "%04d" table; per-group tables give t, the
+number of digits up to the last nonzero one.  The case (e, t) then picks
+one template row per sign, which already holds the sign, the "0.000"
+prefix, the decimal point, "e+XX" and the trailing ','; and two sign-free
+masks, which keep each digit shown at its place or one place to the right
+of it, past the decimal point.
 
 The tables are built from Python ints and bytes: importing the module runs
 no NumPy kernel, since the first use of each one adds to resident memory.
@@ -37,49 +45,70 @@ def _pow10_pairs() -> np.ndarray:
 
 _POW10 = _pow10_pairs()
 
-# One cell of _CELL bytes per value; NUL bytes are dropped on output.
+# One cell of _CELL bytes per value:
 #   0: '-' or NUL;  1-5: "0." and up to three zeros, for 1e-4 <= |x| < 1;
-#   6-23: the region, which holds the 18 characters "0" + 17 digits, shifted
-#         so that the decimal point falls between two of them;
-#   24-27: "e+XX" in exponent notation;  28: ',' or '\n'.
-# The layout of a cell depends only on its case: 18 * notation + t, where t
-# is the number of digits up to the last nonzero one and notation is e + 4
-# for fixed notation (-4 <= e <= 16), or 21 for exponent notation, which is
-# laid out like e = 0.
+#   6-23: the region, which holds the 17 digits and the decimal point;
+#   24-27: "e+XX" in exponent notation;  28: ',' (or '\n' at the end of a row).
+# The digits are first laid out in the region of a work cell, the leading
+# one at position 0 and four groups of four at positions 1-16.  The case of
+# a value is 17 * (e - _E_MIN) + t - 1; fixed notation (-4 <= e <= 16) puts
+# the decimal point after digit e, exponent notation after digit 0.
 _CELL = 29
 _REGION = 6
-_PAIR_CHARS = np.frombuffer(b"".join(b"%02d" % p for p in range(100)), "<u2")
-# Per exponent e from _E_MIN: the notation number of the case, and the bytes
-# 24-27 of the cell ("e+XX", or NUL in fixed notation).
-_NOTATION = np.array([e + 4 if -4 <= e < 17 else 21 for e in range(_E_MIN, _E_MAX + 1)])
-_EXP_CHARS = np.frombuffer(b"".join(b"\0" * 4 if -4 <= e < 17 else b"e%+03d" % e
-                                    for e in range(_E_MIN, _E_MAX + 1)), np.uint8).reshape(-1, 4)
+_CASES = (_E_MAX - _E_MIN + 1) * 17
 
 
-def _cell_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per case: the constant bytes of a cell, and the masks that keep digit
-    k (A) or digit k - 1 (B) at region position k.  Per pair k of the nine
-    and pair value: t if that pair holds the last nonzero digit."""
-    template, keep_a, keep_b = (bytearray(22 * 18 * _CELL) for _ in range(3))
-    for case in range(22 * 18):
-        notation, t = divmod(case, 18)
-        e = notation - 4 if notation < 21 else 0
-        row = case * _CELL
-        region = row + _REGION
-        if e < 0:
-            template[row + 1:row + 2 - e] = b"0." + b"0" * (-1 - e)
-            keep_a[region:region + t] = b"\xff" * t
+def _span(start: int, stop: int) -> bytes:
+    """A mask row that keeps cell positions start .. stop - 1."""
+    return bytes(start) + b"\xff" * (stop - start) + bytes(_CELL - max(start, stop))
+
+
+def _cell_tables() -> tuple[np.ndarray, ...]:
+    """Template rows per case, unsigned then signed; the masks per case that
+    keep digit k (A) or digit k - 1 (B) at region position k; the "%04d"
+    characters of 0-9999; and per group k of the four and group value,
+    t - 1 if that group holds the last nonzero digit, else 0."""
+    # The masks for t = 1 .. 17 per place of the decimal point, after digit
+    # q = -4 .. 16 in fixed notation; exponent notation is laid out as q = 0.
+    masks = {}
+    for q in range(-4, 17):
+        if q < 0:
+            masks[q] = (b"".join(_span(_REGION, _REGION + t) for t in range(1, 18)), bytes(17 * _CELL))
         else:
-            keep_a[region:region + e + 1] = b"\xff" * (e + 1)
-            if t > e + 1:
-                template[region + e + 1] = ord(".")
-                keep_b[region + e + 2:region + t + 1] = b"\xff" * (t - e - 1)
-    last = bytes(0 if p == 0 else 2 * k + (p % 10 != 0) for k in range(9) for p in range(100))
-    cells = (np.frombuffer(bytes(table), np.uint8).reshape(-1, _CELL) for table in (template, keep_a, keep_b))
-    return (*cells, np.frombuffer(last, np.int8).reshape(9, 100))
+            start = _REGION + q + 2
+            masks[q] = (_span(_REGION, start - 1) * 17,
+                        b"".join(_span(start, _REGION + t + 1) for t in range(1, 18)))
+    templates, keep_a, keep_b = [], [], []
+    for e in range(_E_MIN, _E_MAX + 1):
+        fixed = -4 <= e <= 16
+        q = e if fixed else 0
+        end = b"," if fixed else b"e%+03d," % e
+        if q < 0:
+            prefix = b"\0" + b"0." + b"0" * (-1 - q)
+            templates.append((prefix + bytes(_CELL - len(prefix) - len(end)) + end) * 17)
+        else:
+            plain = bytes(_CELL - len(end)) + end
+            point = _REGION + q + 1
+            templates.append(plain * (q + 1) + (plain[:point] + b"." + plain[point + 1:]) * (16 - q))
+        keep_a.append(masks[q][0])
+        keep_b.append(masks[q][1])
+    template = bytearray(b"".join(templates) * 2)
+    template[_CASES * _CELL::_CELL] = b"-" * _CASES
+    pairs = [b"%02d" % p for p in range(100)]
+    quads = b"".join(pair + pair.join(pairs) for pair in pairs)
+    # Digits up to the last nonzero one in "%02d" of 0-99, then in "%04d" of
+    # 0-9999; group k follows 4k + 1 digits, so a nonzero count j gives t - 1 = j + 4k.
+    last2 = bytes(0 if p == 0 else 1 + (p % 10 != 0) for p in range(100))
+    tail = bytes(last + 2 for last in last2[1:])
+    last4 = b"".join(bytes((last,)) + tail for last in last2)
+    group_last = b"".join(last4.translate(bytes((0, *range(4 * k + 1, 4 * k + 5))).ljust(256, b"\0"))
+                          for k in range(4))
+    cells = (np.frombuffer(bytes(table), np.uint8).reshape(-1, _CELL)
+             for table in (template, b"".join(keep_a), b"".join(keep_b)))
+    return (*cells, np.frombuffer(quads, "<u4"), np.frombuffer(group_last, np.int8).reshape(4, 10000))
 
 
-_CELL_TEMPLATE, _KEEP_A, _KEEP_B, _PAIR_LAST = _cell_tables()
+_TEMPLATE, _KEEP_A, _KEEP_B, _QUAD_CHARS, _GROUP_LAST = _cell_tables()
 
 
 def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -95,14 +124,12 @@ def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, tail - (s - head)
 
 
-def format_table(table: np.ndarray) -> bytes:
-    """CSV text of a 2-d float table: '%.17g' of each value, ',' between
-    values and '\\n' after each row."""
-    rows, cols = table.shape
-    x = table.ravel()
+def _digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(D, e, fast): the 17 digits D and decimal exponent e of each |x|, and
+    whether the fast path formats it."""
     a = np.abs(x)
     fast = (a >= 1e-30) & (a < 1e31)
-    a[~fast] = 1.0  # a placeholder; '%.17g' writes these values below
+    a[~fast] = 1.0  # a placeholder; format_table writes these with '%.17g'
     # The exponent is settled on the unrounded scaled value; rounding up to
     # 1e17 then carries into it.
     e = np.floor(np.log10(a)).astype(np.int64)
@@ -123,39 +150,47 @@ def format_table(table: np.ndarray) -> bytes:
     carry = digits // 10**17  # 1 where the digits rounded up to 10^17
     digits -= carry * (10**17 - 10**16)
     e += carry
-    # The 18 characters go to the region as nine base-100 pairs, the last
-    # four from the low eight digits, the first five from the high nine.
+    return digits, e, fast
+
+
+def _cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of the values x, and whether the fast path formats each."""
+    digits, e, fast = _digits(x)
+    # The leading digit, then the other 16 as four groups of four.
     shifted = np.zeros(x.size * _CELL + 1, np.uint8)
-    chars = shifted[:-1].reshape(x.size, _CELL)
-    pairs = chars[:, _REGION:_REGION + 18].view("<u2")
+    chars = shifted[1:].reshape(x.size, _CELL)
+    quads = chars[:, _REGION + 1:_REGION + 17].view("<u4")
+    high = digits // 10**8
+    low = digits - high * 10**8
+    lead = high // 10**8
+    chars[:, _REGION] = lead + ord("0")
+    high -= lead * 10**8
+    upper, lower = high // 10**4, low // 10**4
     t = np.zeros(x.size, np.int8)
-    upper = digits // 100000000
-    rest = digits - upper * 100000000
-    for k in range(8, -1, -1):
-        if k == 4:
-            rest = upper
-        pair = rest
-        if k:
-            rest = pair // 100
-            pair = pair - 100 * rest
-        pairs[:, k] = _PAIR_CHARS.take(pair)
-        np.maximum(t, _PAIR_LAST[k].take(pair), out=t)
-    e -= _E_MIN  # from here on, the row of e in the per-exponent tables
-    case = _NOTATION.take(e) * 18 + t
-    cells = _CELL_TEMPLATE.take(case, axis=0)
+    for k, group in enumerate((upper, high - upper * 10**4, lower, low - lower * 10**4)):
+        quads[:, k] = _QUAD_CHARS.take(group)
+        np.maximum(t, _GROUP_LAST[k].take(group), out=t)
+    case = (e - _E_MIN) * 17
+    case += t
+    cells = _TEMPLATE.take(case + (x < 0.0) * _CASES, axis=0)
     flat = cells.ravel()
     # Region position k takes digit k from shifted[1:], digit k - 1 from shifted[:-1].
     for source, keep in ((shifted[1:], _KEEP_A), (shifted[:-1], _KEEP_B)):
         mask = keep.take(case, axis=0).ravel()
         mask &= source
         flat |= mask
-    cells[:, 24:28] = _EXP_CHARS.take(e, axis=0)
-    cells[:, 0] = np.where(x < 0.0, ord("-"), 0)
+    return cells, fast
+
+
+def format_table(table: np.ndarray) -> bytes:
+    """CSV text of a 2-d float table: '%.17g' of each value, ',' between
+    values and '\\n' after each row."""
+    rows, cols = table.shape
+    x = table.ravel()
+    cells, fast = _cells(x)
     for i in np.flatnonzero(~fast):
         text = b"%.17g" % float(x[i])
-        cells[i] = 0
+        cells[i, :-1] = 0
         cells[i, :len(text)] = np.frombuffer(text, np.uint8)
-    grid = cells.reshape(rows, cols, _CELL)
-    grid[:, :-1, -1] = ord(",")
-    grid[:, -1, -1] = ord("\n")
+    cells.reshape(rows, cols, _CELL)[:, -1, -1] = ord("\n")
     return cells.tobytes().translate(None, b"\0")

@@ -49,7 +49,11 @@ def run(config: Path, out: Path | None, seed: int | None, quiet: bool):
         for message in exc.errors:
             click.echo(f"config error: {message}", err=True)
         sys.exit(2)
-    result = run_scenario(cfg, out_dir=out, seed_override=seed)
+    try:
+        result = run_scenario(cfg, out_dir=out, seed_override=seed)
+    except OSError as exc:
+        click.echo(f"error: cannot write outputs: {exc}", err=True)
+        sys.exit(2)
     if not quiet:
         _echo_result(result)
     sys.exit(result.exit_code)
@@ -73,7 +77,10 @@ def _run_one(path: Path, out_root: Path, seed: int | None) -> tuple[int, str, li
         cfg = validate_config(path)
     except ConfigError as exc:
         return 2, path.stem, [f"config error: {m}" for m in exc.errors]
-    result = run_scenario(cfg, out_dir=out_root / path.stem, seed_override=seed)
+    try:
+        result = run_scenario(cfg, out_dir=out_root / path.stem, seed_override=seed)
+    except OSError as exc:
+        return 2, path.stem, [f"error: cannot write outputs: {exc}"]
     return result.exit_code, path.stem, []
 
 

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from simplexflow import HamiltonianSpec, integrate_midpoint, write_trajectory_csv
 from simplexflow.diagnostics import random_hermitian, sample_interior_points
+from simplexflow import _csvformat
 from simplexflow._csvformat import format_table
 from simplexflow.scenario import CSV_CHUNK_VALUES
 
@@ -68,6 +69,61 @@ def test_format_table_matches_percent_g_on_edge_values():
     for cols in (1, 7):
         table = np.resize(values, (-(-values.size // cols), cols))
         assert format_table(table) == percent_g(table)
+
+
+def significant(v: float) -> tuple[int, int]:
+    """(e, t) of '%.17g' % v: its decimal exponent and its count of
+    significant digits, trailing zeros dropped."""
+    digits = Decimal("%.17g" % v).normalize().as_tuple()
+    return len(digits.digits) + digits.exponent - 1, len(digits.digits)
+
+
+def case_values() -> tuple[list[float], set[tuple[int, int]]]:
+    """For each exponent e in [-30, 30] and each digit count t in 1..17, a
+    double with that (e, t) and its negative, from mantissas of t digits;
+    and the (e, t) that no double has, found by trying the nearest double
+    to every mantissa of one or two digits.  Then doubles that round up to
+    a power of ten, and both sides of the switches between fixed and
+    exponent notation."""
+    values, absent = [], set()
+    for e in range(-30, 31):
+        for t in range(1, 18):
+            first, stop = 10 ** (t - 1), 10**t
+            mantissas = (m - m % 10 + d for m in range(first, stop, max(10, first // 50)) for d in range(9, 0, -1))
+            v = next((v for v in (float(f"{m}e{e - t + 1}") for m in mantissas) if significant(v) == (e, t)), None)
+            if v is not None:
+                values += [v, -v]
+            else:
+                assert t <= 2, f"no double found with {t} digits at exponent {e}"
+                absent.add((e, t))
+    values += [float(f"{sign}9.99999999999999995e{k}") for k in range(-30, 30) for sign in "+-"]
+    values += [v for x in (1e-5, 1e-4, 1e16, 1e17) for v in (x, below(x), above(x), -below(x))]
+    return values, absent
+
+
+def test_format_table_takes_every_case_of_its_tables_against_percent_g(monkeypatch):
+    used = set()
+
+    class RecordingTable(np.ndarray):
+        def take(self, indices, *args, **kwargs):
+            used.update(np.unique(indices).tolist())
+            return self.view(np.ndarray).take(indices, *args, **kwargs)
+
+    monkeypatch.setattr(_csvformat, "_TEMPLATE", _csvformat._TEMPLATE.view(RecordingTable))
+    values, absent = case_values()
+    assert all(1e-30 <= abs(v) < 1e31 for v in values)
+    for cols in (1, 7):
+        table = np.resize(values, (-(-len(values) // cols), cols))
+        assert format_table(table) == percent_g(table)
+
+    def row(negative: bool, e: int, t: int) -> int:
+        """The template row of a case: one per sign, exponent and digit count."""
+        return negative * _csvformat._CASES + (e - _csvformat._E_MIN) * 17 + t - 1
+
+    cases = {(e, t) for e in range(-30, 31) for t in range(1, 18)} - absent
+    # A value that '%.17g' writes instead (a near tie, or 1e20, whose
+    # exponent estimate does not settle) takes a row too: `used` may hold more.
+    assert used >= {row(negative, e, t) for e, t in cases for negative in (False, True)}
 
 
 def per_row_csv(trajectory) -> bytes:

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from simplexflow import (
     CANONICAL_PARAMS,
+    BoundaryError,
     DEFAULT_PARAM_FAMILIES,
     FS_RATIO_CONSTANT,
     FsRatios,
@@ -155,6 +156,11 @@ class TestBlockProducts:
                         assert np.array_equal(residual, dense_g), label
                     else:
                         assert np.max(np.abs(residual - dense_g)) <= 1e-12 * scale, (label, params)
+
+    def test_lie_derivative_metric_refuses_a_boundary_point(self):
+        # g^{-1} is finite at rho_i = 0 but g is not: the point is refused before either is formed.
+        with pytest.raises(BoundaryError):
+            lie_derivative_metric(HamiltonianSpec(kernel=SIGMA_X), PhasePoint([0.0, 1.0], [0.0, 0.0]))
 
     def test_random_hermitian_matches_the_hermitian_part_of_the_draws(self):
         # The same seeded stream gives the same matrices as 0.5 (a + a^H)

@@ -707,6 +707,30 @@ class TestCli:
         assert json.loads((out / "b" / "qubit_report.json").read_text())["exit_ok"] is True
         assert (out / "b" / "qubit_trajectory.csv").exists()
 
+    def test_run_exits_2_when_its_outputs_cannot_be_written(self, tmp_path):
+        path = self.write(tmp_path)
+        (tmp_path / "blocked").write_text("a file, not a directory")
+        result = CliRunner().invoke(cli_main, ["run", str(path), "--out", str(tmp_path / "blocked" / "out")])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "error: cannot write outputs:" in result.output
+
+    def test_batch_runs_the_files_after_one_whose_outputs_cannot_be_written(self, tmp_path):
+        scenarios = tmp_path / "scenarios"
+        scenarios.mkdir()
+        self.write(scenarios, "a.json")
+        self.write(scenarios, "b.json")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "a").write_text("a file where the output directory of a.json goes")
+        result = CliRunner().invoke(cli_main, ["batch", str(scenarios), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "a: error: cannot write outputs:" in result.output
+        assert "a: exit 2" in result.output
+        assert (out / "b" / "qubit_trajectory.csv").exists()
+        assert (out / "b" / "qubit_report.json").exists()
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_batch_runs_all(self, tmp_path, jobs):
         scenarios = tmp_path / "scenarios"
