@@ -86,10 +86,8 @@ INITIAL_NORM_TOL = 1e-9
 
 #: Trajectory values formatted per write (whole rows, at least one).  It
 #: bounds the CSV text held in memory and keeps each of the formatter's byte
-#: work arrays (29 bytes per value) under 128 KiB, above which malloc maps
-#: fresh pages on every call: timed through the batch command, 8,192 values
-#: wrote ~10-20% slower, while 3,072 to 6,144 timed alike.
-CSV_CHUNK_VALUES = 128 * 1024 // 29
+#: work arrays (29 bytes per value) under 128 KiB.
+CSV_CHUNK_VALUES = 4096
 
 DEFAULT_CONVERGENCE_H = (4e-3, 2e-3, 1e-3, 5e-4)
 DEFAULT_CONVERGENCE_TAU = 1.0
