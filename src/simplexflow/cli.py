@@ -34,6 +34,22 @@ def _echo_result(result: ScenarioResult) -> None:
         click.echo(f"trajectory: {result.trajectory_path}")
 
 
+def _run_one(path: Path, out_dir: Path | None, seed: int | None) -> tuple[int, list[str], ScenarioResult | None]:
+    """Validate, reseed when asked, and run one scenario file: the exit code,
+    the messages for stderr, and the result when the scenario ran."""
+    try:
+        cfg = validate_config(path)
+        if seed is not None:
+            cfg = cfg.with_seed(seed)
+    except ConfigError as exc:
+        return 2, [f"config error: {m}" for m in exc.errors], None
+    try:
+        result = run_scenario(cfg, out_dir=out_dir)
+    except OSError as exc:
+        return 2, [f"error: cannot write outputs: {exc}"], None
+    return result.exit_code, [], result
+
+
 @main.command()
 @click.argument("config", type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.option("--out", type=click.Path(file_okay=False, path_type=Path), default=None,
@@ -43,20 +59,12 @@ def _echo_result(result: ScenarioResult) -> None:
 @click.option("--quiet", is_flag=True, help="Suppress per-check output.")
 def run(config: Path, out: Path | None, seed: int | None, quiet: bool):
     """Execute one scenario: integrate, run its checks, write CSV and report."""
-    try:
-        cfg = validate_config(config)
-    except ConfigError as exc:
-        for message in exc.errors:
-            click.echo(f"config error: {message}", err=True)
-        sys.exit(2)
-    try:
-        result = run_scenario(cfg, out_dir=out, seed_override=seed)
-    except OSError as exc:
-        click.echo(f"error: cannot write outputs: {exc}", err=True)
-        sys.exit(2)
-    if not quiet:
+    code, messages, result = _run_one(config, out, seed)
+    for message in messages:
+        click.echo(message, err=True)
+    if result is not None and not quiet:
         _echo_result(result)
-    sys.exit(result.exit_code)
+    sys.exit(code)
 
 
 @main.command()
@@ -70,18 +78,6 @@ def validate(config: Path):
             click.echo(f"invalid: {message}", err=True)
         sys.exit(2)
     click.echo(f"ok: {cfg.scenario_id} (n={cfg.n}, steps={cfg.steps}, checks={len(cfg.checks)})")
-
-
-def _run_one(path: Path, out_root: Path, seed: int | None) -> tuple[int, str, list[str]]:
-    try:
-        cfg = validate_config(path)
-    except ConfigError as exc:
-        return 2, path.stem, [f"config error: {m}" for m in exc.errors]
-    try:
-        result = run_scenario(cfg, out_dir=out_root / path.stem, seed_override=seed)
-    except OSError as exc:
-        return 2, path.stem, [f"error: cannot write outputs: {exc}"]
-    return result.exit_code, path.stem, []
 
 
 @main.command()
@@ -100,22 +96,23 @@ def batch(directory: Path, out: Path | None, seed: int | None, jobs: int, quiet:
         click.echo(f"no *.json configs found in {directory}", err=True)
         sys.exit(2)
     out_root = out if out is not None else Path.cwd()
+    args = (configs, [out_root / path.stem for path in configs], [seed] * len(configs))
     if jobs > 1:
         # Imported here, so that commands without a process pool do not pay
         # for loading concurrent.futures and multiprocessing at start-up.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_one, configs, [out_root] * len(configs), [seed] * len(configs)))
+            outcomes = list(pool.map(_run_one, *args))
     else:
-        outcomes = [_run_one(path, out_root, seed) for path in configs]
+        outcomes = list(map(_run_one, *args))
     worst = 0
-    for code, stem, messages in outcomes:
+    for path, (code, messages, _) in zip(configs, outcomes):
         worst = max(worst, code)
         for message in messages:
-            click.echo(f"{stem}: {message}", err=True)
+            click.echo(f"{path.stem}: {message}", err=True)
         if code != 0:
-            click.echo(f"{stem}: exit {code}", err=True)
+            click.echo(f"{path.stem}: exit {code}", err=True)
         elif not quiet:
-            click.echo(f"{stem}: ok")
+            click.echo(f"{path.stem}: ok")
     sys.exit(worst)

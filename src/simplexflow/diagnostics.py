@@ -63,8 +63,7 @@ def sample_interior_points(
     n: int,
     count: int = 8,
     *,
-    rng: np.random.Generator | None = None,
-    seed: int | None = None,
+    rng: np.random.Generator,
     include_barycenter: bool = True,
     margin: float = 0.4,
 ) -> list[PhasePoint]:
@@ -74,8 +73,6 @@ def sample_interior_points(
     stays at least margin/n from the boundary, where the 1/rho tensor
     entries stay bounded.  Momenta are uniform on [0, 2 pi).
     """
-    if rng is None:
-        rng = np.random.default_rng(seed)
     points = []
     if include_barycenter:
         points.append(PhasePoint(np.full(n, 1.0 / n), np.zeros(n)))
@@ -86,11 +83,9 @@ def sample_interior_points(
     return points
 
 
-def random_hermitian_pair(
-    n: int, rng: np.random.Generator, scale: float = 1.0
-) -> tuple[np.ndarray, np.ndarray]:
+def random_hermitian_pair(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian U = (a + a^H)/2 and V = (a - a^H)/(2i), so that a = U + i V,
-    for one draw a = scale (x + i y) of Gaussian x and y, x drawn first.
+    for one draw a = x + i y of Gaussian x and y, x drawn first.
 
     a is isotropic, and the Hermitian and anti-Hermitian matrices are
     orthogonal complements under Re tr(A^H B), so U and i V are independent;
@@ -106,16 +101,16 @@ def random_hermitian_pair(
     np.subtract(y, y.T, out=U.imag)
     np.add(y, y.T, out=V.real)
     np.subtract(x.T, x, out=V.imag)
-    U *= scale * 0.5
-    V *= scale * 0.5
+    U *= 0.5
+    V *= 0.5
     return U, V
 
 
-def random_hermitian(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random Hermitian matrix with Gaussian real and imaginary parts: the
     Hermitian part (x + x^T)/2 + i (y - y^T)/2 of x + i y, x drawn first
     (the U of `random_hermitian_pair`)."""
-    return random_hermitian_pair(n, rng, scale)[0]
+    return random_hermitian_pair(n, rng)[0]
 
 
 def lie_derivative_metric(

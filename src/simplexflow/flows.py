@@ -64,7 +64,7 @@ def _wrap(angles) -> np.ndarray:
 def circle_difference(a, b) -> np.ndarray:
     """Componentwise a - b reduced to (-pi, pi]."""
     d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    return np.pi - np.mod(np.pi - d, TWO_PI)
+    return np.pi - _wrap(np.pi - d)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from .flows import (
     HamiltonianSpec,
     HermitianOperator,
     PhasePoint,
+    _psi_from,
     _wrap,
     poisson_bracket,
 )
@@ -55,7 +56,7 @@ class ComplexState:
 
 def to_complex(X: PhasePoint) -> ComplexState:
     """Chart map psi_i = sqrt(rho_i) exp(i pi_i); zero rows map to 0."""
-    return ComplexState(np.sqrt(X.rho) * np.exp(1j * np.asarray(X.pi)))
+    return ComplexState(_psi_from(X.rho, X.pi))
 
 
 def from_complex(state: ComplexState) -> tuple[PhasePoint, np.ndarray]:

@@ -698,24 +698,23 @@ def classify_flow(spec: HamiltonianSpec, sample_points) -> FlowClassification:
     return FlowClassification(*fields)
 
 
-def run_scenario(config: ScenarioConfig, *, out_dir=None, seed_override: int | None = None) -> ScenarioResult:
+def run_scenario(config: ScenarioConfig, *, out_dir=None) -> ScenarioResult:
     """Integrate, write the trajectory CSV, evaluate checks, write the report.
 
     Exit code 0 when every check matches its expectation, 1 when some check
     does not, 2 on a numeric error (which still produces a machine-readable
     error record in the report file).
     """
-    cfg = config if seed_override is None else config.with_seed(seed_override)
     out = Path(out_dir) if out_dir is not None else Path.cwd()
-    trajectory_path = out / cfg.trajectory_path
-    report_path = out / cfg.report_path
+    trajectory_path = out / config.trajectory_path
+    report_path = out / config.report_path
     base_report = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
-        "config_hash": cfg.config_hash,
-        "scenario_id": cfg.scenario_id,
-        "seed": cfg.seed,
-        "n": cfg.n,
+        "config_hash": config.config_hash,
+        "scenario_id": config.scenario_id,
+        "seed": config.seed,
+        "n": config.n,
     }
 
     def numeric_error(exc, rows, written, **where) -> ScenarioResult:
@@ -725,24 +724,24 @@ def run_scenario(config: ScenarioConfig, *, out_dir=None, seed_override: int | N
         return ScenarioResult(2, report, written, report_path)
 
     try:
-        trajectory = integrate_midpoint(cfg.hamiltonian, cfg.initial, cfg.h, cfg.steps)
+        trajectory = integrate_midpoint(config.hamiltonian, config.initial, config.h, config.steps)
     except SimplexFlowError as exc:
         return numeric_error(exc, [], None)
-    if cfg.hamiltonian.psi_form[2]:
+    if config.hamiltonian.psi_form[2]:
         sweeps = trajectory.sweeps
         base_report["solver"] = {"sweeps_max": int(sweeps.max()), "sweeps_mean": float(sweeps.mean())}
     write_trajectory_csv(trajectory, trajectory_path)
-    sampled = dict.fromkeys(request.name for request in cfg.checks if CHECKS[request.name].at)
-    maxima = _sampled_maxima(cfg.hamiltonian, _scenario_points(cfg) if sampled else [], cfg.metric_params,
-                             sampled)
+    sampled = dict.fromkeys(request.name for request in config.checks if CHECKS[request.name].at)
+    maxima = _sampled_maxima(config.hamiltonian, _scenario_points(config) if sampled else [],
+                             config.metric_params, sampled)
     rows: list[dict] = []
     extras: dict = {}
     all_ok = True
-    for request in cfg.checks:
+    for request in config.checks:
         check = CHECKS[request.name]
         try:
             if check.at is None:
-                residuals = check.residuals(cfg, trajectory, extras)
+                residuals = check.residuals(config, trajectory, extras)
             else:
                 residuals = {request.name: _value(maxima[request.name])}
         except SimplexFlowError as exc:

@@ -167,9 +167,9 @@ class TestBlockProducts:
         # with a = x + i y, x drawn first.
         for seed in range(3):
             new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            for n, scale in ((1, 1.0), (2, 1.0), (5, 0.3), (32, 2.0), (128, 1.0)):
+            for n in (1, 2, 5, 32, 128):
                 a = old_rng.standard_normal((n, n)) + 1j * old_rng.standard_normal((n, n))
-                assert np.array_equal(random_hermitian(n, new_rng, scale), scale * 0.5 * (a + a.conj().T))
+                assert np.array_equal(random_hermitian(n, new_rng), 0.5 * (a + a.conj().T))
             assert new_rng.bit_generator.state == old_rng.bit_generator.state
 
     @pytest.mark.parametrize("n", [1, 2, 5, 128])
@@ -242,7 +242,7 @@ class TestLieDerivativeSymplectic:
 class TestClassifyFlow:
     def test_hermitian_kernel_is_hamilton_killing(self, rng):
         spec = HamiltonianSpec(kernel=random_hermitian(3, rng))
-        points = sample_interior_points(3, 8, seed=5)
+        points = sample_interior_points(3, 8, rng=np.random.default_rng(5))
         result = classify_flow(spec, points)
         assert result.is_hamilton_killing
         assert result.metric_residual <= 1e-6
@@ -252,7 +252,7 @@ class TestClassifyFlow:
         spec = HamiltonianSpec(
             kernel=SIGMA_X, linear_bra=[0.5, 0.0], linear_ket=[0.5, 0.0]
         )
-        result = classify_flow(spec, sample_interior_points(2, 8, seed=6))
+        result = classify_flow(spec, sample_interior_points(2, 8, rng=np.random.default_rng(6)))
         assert result.is_real_valued
         assert result.preserves_symplectic
         assert result.preserves_metric
@@ -260,7 +260,7 @@ class TestClassifyFlow:
         assert not result.is_hamilton_killing
 
     def test_nonlinear_breaks_metric_only(self):
-        result = classify_flow(CONTROL, sample_interior_points(2, 8, seed=7))
+        result = classify_flow(CONTROL, sample_interior_points(2, 8, rng=np.random.default_rng(7)))
         assert result.is_real_valued
         assert result.preserves_symplectic
         assert result.preserves_normalization
@@ -269,12 +269,12 @@ class TestClassifyFlow:
 
     def test_non_real_spec_flagged(self):
         spec = HamiltonianSpec(kernel=[[0.0, 1.0], [0.0, 0.0]])
-        result = classify_flow(spec, sample_interior_points(2, 4, seed=8))
+        result = classify_flow(spec, sample_interior_points(2, 4, rng=np.random.default_rng(8)))
         assert not result.is_real_valued
         assert not result.is_hamilton_killing
 
     def test_deterministic_given_points(self):
-        points = sample_interior_points(2, 8, seed=9)
+        points = sample_interior_points(2, 8, rng=np.random.default_rng(9))
         first = classify_flow(CONTROL, points)
         second = classify_flow(CONTROL, points)
         assert first == second
@@ -435,7 +435,7 @@ class TestConvergenceStudy:
 
 class TestSamplePoints:
     def test_barycenter_first_and_interior(self):
-        points = sample_interior_points(4, 8, seed=3)
+        points = sample_interior_points(4, 8, rng=np.random.default_rng(3))
         assert len(points) == 9
         assert_allclose(points[0].rho, 0.25, atol=0)
         for point in points:
@@ -443,8 +443,10 @@ class TestSamplePoints:
             assert np.min(point.rho) >= 0.4 / 4 - 1e-12
 
     def test_seed_reproducibility(self):
-        a = sample_interior_points(3, 5, seed=11)
-        b = sample_interior_points(3, 5, seed=11)
+        a = sample_interior_points(3, 5, rng=np.random.default_rng(11))
+        b = sample_interior_points(3, 5, rng=np.random.default_rng(11))
         for pa, pb in zip(a, b):
             assert np.array_equal(pa.rho, pb.rho)
             assert np.array_equal(pa.pi, pb.pi)
+        with pytest.raises(TypeError):
+            sample_interior_points(3, 5)  # no unseeded draws

@@ -83,6 +83,12 @@ class TestPhasePoint:
         assert_allclose(circle_difference(0.1, 2 * np.pi + 0.1), 0.0, atol=1e-15)
         assert_allclose(circle_difference(np.pi + 0.5, 0.0), 0.5 - np.pi, atol=1e-15)
 
+    def test_circle_difference_never_returns_minus_pi(self):
+        # np.mod rounds pi - d = -4.4e-16 up to 2 pi itself, which read -pi.
+        just_above_pi = np.nextafter(np.pi, 4.0)
+        assert circle_difference(just_above_pi, 0.0) == np.pi
+        assert circle_difference([-np.pi, np.pi, 3 * np.pi], 0.0).tolist() == [np.pi] * 3
+
 
 class TestHamiltonianSpec:
     def test_valid_real_detection(self):

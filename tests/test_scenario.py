@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -33,7 +34,7 @@ from simplexflow import (
 )
 import simplexflow.flows as flows
 import simplexflow.scenario as scenario
-from simplexflow.cli import main as cli_main
+from simplexflow.cli import _run_one, main as cli_main
 from simplexflow.diagnostics import random_hermitian, sample_interior_points
 from simplexflow.scenario import CHECKS, _scenario_points
 
@@ -149,10 +150,12 @@ class TestValidateConfig:
         with pytest.raises(ConfigError) as excinfo:
             cfg.with_seed(seed)
         assert excinfo.value.errors == [message]
-        with pytest.raises(ConfigError):
-            run_scenario(cfg, out_dir=tmp_path, seed_override=seed)
-        assert not any(tmp_path.iterdir())
         assert cfg.with_seed(2**64 - 1).resolved["seed"] == 2**64 - 1
+        # The CLI's runner reseeds through with_seed and writes nothing.
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(qubit_config(checks=[])))
+        assert _run_one(path, tmp_path / "out", seed) == (2, [f"config error: {message}"], None)
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -352,7 +355,7 @@ class TestRunScenario:
     def test_seed_override_changes_hash(self, tmp_path):
         cfg = config_from_dict(qubit_config(checks=[]))
         base = run_scenario(cfg, out_dir=tmp_path / "a")
-        reseeded = run_scenario(cfg, out_dir=tmp_path / "b", seed_override=7)
+        reseeded = run_scenario(cfg.with_seed(7), out_dir=tmp_path / "b")
         assert base.report["config_hash"] != reseeded.report["config_hash"]
         assert reseeded.report["seed"] == 7
 
@@ -505,7 +508,7 @@ class TestCheckRegistry:
 
     def test_small_anti_hermitian_part_is_not_real_valued(self, rng):
         kernel = random_hermitian(3, rng) + 1e-10j * random_hermitian(3, rng)
-        cls = classify_flow(HamiltonianSpec(kernel=kernel), sample_interior_points(3, 8, seed=3))
+        cls = classify_flow(HamiltonianSpec(kernel=kernel), sample_interior_points(3, 8, rng=np.random.default_rng(3)))
         assert not cls.is_real_valued
         assert not cls.is_hamilton_killing
         assert cls.realness_residual <= 1e-9
@@ -730,6 +733,48 @@ class TestCli:
         assert "a: exit 2" in result.output
         assert (out / "b" / "qubit_trajectory.csv").exists()
         assert (out / "b" / "qubit_report.json").exists()
+
+    def test_run_and_batch_agree_file_by_file(self, tmp_path):
+        # Per file: the same exit code, the same stderr messages (batch adds
+        # "<stem>: ") and the same output bytes, written to the same paths.
+        scenarios = tmp_path / "scenarios"
+        scenarios.mkdir()
+        self.write(scenarios, "a.json")
+        self.write(scenarios, "b.json", integrator={"h": 1e-3, "steps": 0})
+        self.write(scenarios, "c.json", output={"trajectory": "sub/t.csv", "report": "sub/r.json"})
+        out = tmp_path / "out"
+
+        def fresh_out():
+            shutil.rmtree(out, ignore_errors=True)
+            (out / "c").mkdir(parents=True)
+            (out / "c" / "sub").write_text("a file where the output directory of c.json goes")
+
+        def written():
+            return {path.relative_to(out): path.read_bytes() for path in out.rglob("*") if path.is_file()}
+
+        fresh_out()
+        run_codes, run_messages = {}, {}
+        for stem in "abc":
+            args = ["run", str(scenarios / f"{stem}.json"), "--out", str(out / stem), "--quiet"]
+            result = CliRunner().invoke(cli_main, args)
+            run_codes[stem], run_messages[stem] = result.exit_code, result.output.splitlines()
+        run_files = written()
+        fresh_out()
+        result = CliRunner().invoke(cli_main, ["batch", str(scenarios), "--out", str(out), "--quiet"])
+        batch_codes, batch_messages = dict.fromkeys("abc", 0), {stem: [] for stem in "abc"}
+        for line in result.output.splitlines():
+            stem, message = line.split(": ", 1)
+            if message.startswith("exit "):
+                batch_codes[stem] = int(message.removeprefix("exit "))
+            else:
+                batch_messages[stem].append(message)
+        assert run_codes == {"a": 0, "b": 2, "c": 2} and result.exit_code == 2
+        assert batch_codes == run_codes
+        assert run_messages["b"][0].startswith("config error: ")
+        assert run_messages["c"][0].startswith("error: cannot write outputs: ")
+        assert batch_messages == run_messages
+        assert sorted(map(str, run_files)) == ["a/qubit_report.json", "a/qubit_trajectory.csv", "c/sub"]
+        assert written() == run_files
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_batch_runs_all(self, tmp_path, jobs):
