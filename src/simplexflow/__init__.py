@@ -17,7 +17,6 @@ from .diagnostics import (
     lie_derivative_metric,
     lie_derivative_symplectic,
     random_hermitian,
-    random_hermitian_pair,
     sample_interior_points,
 )
 from .errors import (
@@ -101,7 +100,7 @@ __all__ = [
     # diagnostics
     "ConvergenceStudy", "FsRatios",
     "FS_RATIO_CONSTANT", "DEFAULT_PARAM_FAMILIES", "sample_interior_points",
-    "random_hermitian", "random_hermitian_pair", "lie_derivative_metric",
+    "random_hermitian", "lie_derivative_metric",
     "lie_derivative_symplectic", "fs_consistency", "ab_independence_sweep",
     "convergence_study",
     # scenario

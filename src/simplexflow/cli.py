@@ -52,7 +52,7 @@ def _run_one(path: Path, out_dir: Path | None, seed: int | None) -> tuple[int, l
 
 @main.command()
 @click.argument("config", type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@click.option("--out", type=click.Path(file_okay=False, path_type=Path), default=None,
+@click.option("--out", type=click.Path(path_type=Path), default=None,
               help="Output directory (default: current directory).")
 @click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=None,
               help="Override the config seed.")

@@ -83,34 +83,12 @@ def sample_interior_points(
     return points
 
 
-def random_hermitian_pair(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian U = (a + a^H)/2 and V = (a - a^H)/(2i), so that a = U + i V,
-    for one draw a = x + i y of Gaussian x and y, x drawn first.
-
-    a is isotropic, and the Hermitian and anti-Hermitian matrices are
-    orthogonal complements under Re tr(A^H B), so U and i V are independent;
-    multiplying by -i maps the anti-Hermitian matrices isometrically onto the
-    Hermitian ones.  The pair therefore has the law of two independent
-    `random_hermitian` draws, at the cost of one.
-    """
-    x = rng.standard_normal((n, n))
-    y = rng.standard_normal((n, n))
-    U = np.empty((n, n), dtype=complex)
-    V = np.empty((n, n), dtype=complex)
-    np.add(x, x.T, out=U.real)
-    np.subtract(y, y.T, out=U.imag)
-    np.add(y, y.T, out=V.real)
-    np.subtract(x.T, x, out=V.imag)
-    U *= 0.5
-    V *= 0.5
-    return U, V
-
-
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random Hermitian matrix with Gaussian real and imaginary parts: the
-    Hermitian part (x + x^T)/2 + i (y - y^T)/2 of x + i y, x drawn first
-    (the U of `random_hermitian_pair`)."""
-    return random_hermitian_pair(n, rng)[0]
+    Hermitian part (x + x^T)/2 + i (y - y^T)/2 of x + i y, x drawn first."""
+    x = rng.standard_normal((n, n))
+    y = rng.standard_normal((n, n))
+    return 0.5 * (x + x.T) + 0.5j * (y - y.T)
 
 
 def lie_derivative_metric(

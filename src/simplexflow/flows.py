@@ -370,15 +370,19 @@ def _eval_complex(spec: HamiltonianSpec, rho: np.ndarray, pi: np.ndarray) -> com
 def _grad_arrays(spec: HamiltonianSpec, rho: np.ndarray, pi: np.ndarray):
     """(dH/drho, dH/dpi) = (Re q / rho, 2 Im q) of the real part H of the
     Hamiltonian, with q = conj(psi) (K psi + b) + s rho^2 from the psi-form.
-
-    q is formed in real arithmetic, so a fused multiply-add cannot leave a
-    rounding residue where the products cancel exactly.  Requires the interior.
+    Requires the interior.
     """
     require_interior(rho)
     _check_dim(spec, rho.size)
     K, b, s = spec.psi_form
     psi = _psi_from(rho, pi)
-    f = b if K is None else K @ psi + b
+    return _chart_gradient(psi, rho, b if K is None else K @ psi + b, s)
+
+
+def _chart_gradient(psi: np.ndarray, rho: np.ndarray, f, s: float):
+    """(Re q / rho, 2 Im q) for q = conj(psi) f + s rho^2, elementwise.  q is
+    formed in real arithmetic, so a fused multiply-add cannot leave a rounding
+    residue where the products cancel exactly."""
     re_q = psi.real * np.real(f) + psi.imag * np.imag(f) + s * rho * rho
     im_q = psi.real * np.imag(f) - psi.imag * np.real(f)
     return re_q / rho, 2.0 * im_q
@@ -532,7 +536,8 @@ def integrate_midpoint(
     n = X0.n
     _check_dim(spec, n)
     _, b, s = spec.psi_form
-    w, V = (spec.hermitian_part or HermitianOperator(np.zeros((n, n)))).eigh
+    K = spec.hermitian_part  # without a kernel: w = 0 in the standard basis
+    w, V = (np.zeros(n), np.eye(n, dtype=complex)) if K is None else K.eigh
     # Overflow is caught below, as NonFiniteError or ConvergenceError.
     with np.errstate(over="ignore", invalid="ignore"):
         # In the eigenbasis of K, phi = V^H psi, M and B are the diagonals

@@ -5,8 +5,8 @@ is the standard sum conj(psi_i) phi_i, which the constant chart tensors
 (G + i Omega)/2 reproduce; Hermitian kernels propagate states by the
 matrix exponential exp(-i K tau), evaluated through the eigendecomposition so
 the accuracy is uniform in tau.  The bracket identity
-{U~, V~} = -i <psi|[U, V]|psi> compares the (rho, pi) Poisson bracket with
-its right side 2 Im <U psi|V psi>, which needs no matrix product.
+{U~, V~} = -i <psi|[U, V]|psi> reads U and V only through U psi and V psi,
+so both its sides take O(n).
 """
 
 from __future__ import annotations
@@ -18,14 +18,15 @@ import numpy as np
 from .errors import DimensionError
 from .flows import (
     PHASE_FLOOR,
-    HamiltonianSpec,
     HermitianOperator,
     PhasePoint,
+    _chart_gradient,
     _psi_from,
+    _weights,
     _wrap,
-    poisson_bracket,
+    bracket_from_gradients,
 )
-from .geometry import NORM_TOL, as_vector, readonly
+from .geometry import NORM_TOL, as_vector, readonly, require_interior
 
 
 @dataclass(frozen=True)
@@ -98,21 +99,19 @@ def propagate_unitary(K: HermitianOperator, psi0: ComplexState, tau: float) -> C
     return ComplexState(V @ (phases * (V.conj().T @ psi0.psi)))
 
 
-def commutator_identity_check(
-    U: HamiltonianSpec, V: HamiltonianSpec, psi: ComplexState
-) -> tuple[float, float]:
-    """Both sides of {U~, V~} = -i <psi|[U, V]|psi> at psi, for two
-    pure-kernel Hamiltonians U~ = <psi|U|psi> and V~ = <psi|V|psi>.
+def commutator_identity_check(u_psi, v_psi, psi: ComplexState) -> tuple[float, float]:
+    """Both sides of {U~, V~} = -i <psi|[U, V]|psi> at psi for Hermitian U
+    and V, given as their images ``u_psi`` = U psi and ``v_psi`` = V psi.
 
-    The left side is their Poisson bracket at the real-coordinate image of
-    psi.  The right side is real because the commutator of Hermitian
-    operators is anti-Hermitian: with z = <U psi|V psi> it is
-    -i (z - conj(z)) = 2 Im z, two matrix-vector products with the kernels.
-    The two agree identically, so the difference is pure rounding.
+    The left side is the (rho, pi) Poisson bracket of U~ = <psi|U|psi> and V~
+    from the chart gradients of q = conj(psi) U psi, with rho = |psi|^2.  The
+    right side is real because [U, V] is anti-Hermitian: with
+    z = <U psi|V psi> it is -i (z - conj(z)) = 2 Im z.  The two agree
+    identically, so the difference is pure rounding.  Requires the interior.
     """
-    if not (U.is_pure_kernel and V.is_pure_kernel):
-        raise ValueError("the commutator identity applies to pure-kernel Hamiltonians only")
-    point, _ = from_complex(psi)
-    lhs = poisson_bracket(U, V, point)
-    rhs = 2.0 * float(np.vdot(U.kernel @ psi.psi, V.kernel @ psi.psi).imag)
-    return lhs, rhs
+    u_psi = as_vector(u_psi, "u_psi", psi.n, dtype=complex)
+    v_psi = as_vector(v_psi, "v_psi", psi.n, dtype=complex)
+    rho = _weights(psi.psi)
+    require_interior(rho)
+    lhs = bracket_from_gradients(*(_chart_gradient(psi.psi, rho, w, 0.0) for w in (u_psi, v_psi)))
+    return lhs, 2.0 * float(np.vdot(u_psi, v_psi).imag)

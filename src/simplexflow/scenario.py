@@ -28,7 +28,6 @@ from .diagnostics import (
     fs_consistency,
     lie_derivative_metric,
     lie_derivative_symplectic,
-    random_hermitian_pair,
     sample_interior_points,
 )
 from .errors import ConfigError, ParamError, SimplexFlowError
@@ -565,14 +564,29 @@ def _convergence(config, trajectory, extras):
     return study.residuals
 
 
+def _rank_two_image(psi: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """U psi = a (b^H psi) + b (a^H psi) for the Hermitian U = a b^H + b a^H,
+    with complex Gaussian a and b scaled to unit norm.  Draw order: the real
+    part of a, its imaginary part, then those of b, n values each.  Every
+    vector is U psi for some Hermitian U, so the images stand for any."""
+    n = psi.size
+    a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    a /= np.linalg.norm(a)
+    b /= np.linalg.norm(b)
+    return a * np.vdot(b, psi) + b * np.vdot(a, psi)
+
+
 def _bracket_commutator(config, trajectory, extras):
+    # Relative to |U psi| |V psi|, so the row does not drift with n or scale.
     rng = _check_rng(config, "bracket_commutator")
     worst = 0.0
     for _ in range(50):
-        U, V = random_hermitian_pair(config.n, rng)
         psi = to_complex(_single_interior_point(config.n, rng))
-        lhs, rhs = commutator_identity_check(HamiltonianSpec(kernel=U), HamiltonianSpec(kernel=V), psi)
-        worst = max(worst, abs(lhs - rhs))
+        u_psi = _rank_two_image(psi.psi, rng)
+        v_psi = _rank_two_image(psi.psi, rng)
+        lhs, rhs = commutator_identity_check(u_psi, v_psi, psi)
+        worst = max(worst, abs(lhs - rhs) / float(np.linalg.norm(u_psi) * np.linalg.norm(v_psi)))
     return {"bracket_commutator": worst}
 
 

@@ -130,15 +130,13 @@ def test_06_bracket_commutator_identity():
     worst = 0.0
     for k in range(50):
         n = (2, 3, 4, 5)[k % 4]
-        U = HamiltonianSpec(kernel=random_hermitian(n, rng))
-        V = HamiltonianSpec(kernel=random_hermitian(n, rng))
+        U = random_hermitian(n, rng)
+        V = random_hermitian(n, rng)
         psi = to_complex(sample_interior_points(n, 1, rng=rng, include_barycenter=False)[0])
-        lhs, rhs = commutator_identity_check(U, V, psi)
+        lhs, rhs = commutator_identity_check(U @ psi.psi, V @ psi.psi, psi)
         worst = max(worst, abs(lhs - rhs))
     fixture = ComplexState([1 / math.sqrt(2), 1j / math.sqrt(2)])
-    lhs, rhs = commutator_identity_check(
-        HamiltonianSpec(kernel=SIGMA_X), HamiltonianSpec(kernel=np.diag([1.0, -1.0])), fixture
-    )
+    lhs, rhs = commutator_identity_check(SIGMA_X @ fixture.psi, np.diag([1.0, -1.0]) @ fixture.psi, fixture)
     ok = worst <= 1e-12 and abs(lhs + 2.0) <= 1e-12 and abs(rhs + 2.0) <= 1e-12
     report(6, "Poisson bracket equals commutator expectation", ok,
            f"max |lhs - rhs| {worst:.3e} <= 1e-12 over 50 triples; pauli fixture {lhs:.12f} = -2")

@@ -23,7 +23,7 @@ from simplexflow import (
     symplectic_matrix,
     to_complex,
 )
-from simplexflow.diagnostics import random_hermitian, random_hermitian_pair, sample_interior_points
+from simplexflow.diagnostics import random_hermitian, sample_interior_points
 from simplexflow.flows import _field_arrays, _field_jacobian
 from simplexflow.geometry import _metric_blocks, _metric_blocks_derivative
 from simplexflow.scenario import CONVERGENCE_EXACT_TOL, CONVERGENCE_ORDER_TOL
@@ -171,20 +171,6 @@ class TestBlockProducts:
                 a = old_rng.standard_normal((n, n)) + 1j * old_rng.standard_normal((n, n))
                 assert np.array_equal(random_hermitian(n, new_rng), 0.5 * (a + a.conj().T))
             assert new_rng.bit_generator.state == old_rng.bit_generator.state
-
-    @pytest.mark.parametrize("n", [1, 2, 5, 128])
-    def test_random_hermitian_pair_splits_one_draw(self, n):
-        # a = x + i y is drawn once, x first: U is random_hermitian's matrix
-        # from the same stream, V = (a - a^H)/(2i), and U + i V = a.
-        for seed in range(3):
-            rng, old_rng, raw_rng = (np.random.default_rng(seed) for _ in range(3))
-            U, V = random_hermitian_pair(n, rng)
-            x, y = raw_rng.standard_normal((n, n)), raw_rng.standard_normal((n, n))
-            assert np.array_equal(U, U.conj().T) and np.array_equal(V, V.conj().T)
-            assert np.array_equal(U, random_hermitian(n, old_rng))
-            assert np.max(np.abs(U + 1j * V - (x + 1j * y))) <= 1e-15 * max(1.0, np.max(np.abs(x + 1j * y)))
-            assert np.array_equal(V.real, (y + y.T) / 2) and np.array_equal(V.imag, (x.T - x) / 2)
-            assert rng.bit_generator.state == old_rng.bit_generator.state
 
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_metric_inverse_derivative_matches_the_dense_product(self, n, rng):

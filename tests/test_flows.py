@@ -431,6 +431,18 @@ class TestIntegrateMidpoint:
             assert np.array_equal(traj.psi[1:], (phi @ V.T)[1:]), label
             assert not traj.sweeps.any(), label
 
+    @pytest.mark.parametrize("tag", ["sum_rho_squared", "quartic_psi"])
+    def test_kernel_less_spec_steps_as_an_explicit_zero_kernel(self, tag, rng):
+        # Without a kernel the step takes w = 0 and the standard basis, which
+        # eigh gives for a zero kernel: the trajectories agree bit for bit.
+        X0 = sample_interior_points(3, 1, rng=rng, include_barycenter=False)[0]
+        bare = HamiltonianSpec(nonlinear=tag, nonlinear_strength=0.7)
+        zero = HamiltonianSpec(kernel=np.zeros((3, 3)), nonlinear=tag, nonlinear_strength=0.7)
+        assert bare.hermitian_part is None and zero.hermitian_part is not None
+        traj_bare, traj_zero = (integrate_midpoint(spec, X0, 1e-2, 50) for spec in (bare, zero))
+        for field in ("parameter_values", "psi", "pi", "norm_defects", "energy_defects", "sweeps"):
+            assert np.array_equal(getattr(traj_bare, field), getattr(traj_zero, field)), field
+
     def test_extrapolated_start_leaves_one_sweep_per_step(self):
         rng = np.random.default_rng(8)
         kernel = random_hermitian(8, rng)

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from simplexflow import (
+    BoundaryError,
     ComplexState,
     DimensionError,
     HamiltonianSpec,
@@ -187,53 +188,55 @@ class TestPropagateUnitary:
 class TestCommutatorIdentity:
     def test_pauli_fixture(self):
         psi = ComplexState([INV_SQRT2, INV_SQRT2 * 1j])
-        lhs, rhs = commutator_identity_check(
-            HamiltonianSpec(kernel=SIGMA_X), HamiltonianSpec(kernel=SIGMA_Z), psi
-        )
+        lhs, rhs = commutator_identity_check(SIGMA_X @ psi.psi, SIGMA_Z @ psi.psi, psi)
         assert_allclose(lhs, -2.0, atol=1e-12)
         assert_allclose(rhs, -2.0, atol=1e-12)
 
     def test_self_commutator(self, rng):
-        U = HamiltonianSpec(kernel=random_hermitian(3, rng))
+        U = random_hermitian(3, rng)
         psi = to_complex(sample_interior_points(3, 1, rng=rng)[1])
-        lhs, rhs = commutator_identity_check(U, U, psi)
+        lhs, rhs = commutator_identity_check(U @ psi.psi, U @ psi.psi, psi)
         assert lhs == 0.0
         assert abs(rhs) <= 1e-15
 
     def test_commuting_diagonals(self, rng):
-        U = HamiltonianSpec(kernel=np.diag([0.3, -1.0, 2.0]))
-        V = HamiltonianSpec(kernel=np.diag([1.1, 0.2, -0.4]))
+        U = np.diag([0.3, -1.0, 2.0])
+        V = np.diag([1.1, 0.2, -0.4])
         psi = to_complex(sample_interior_points(3, 1, rng=rng)[1])
-        lhs, rhs = commutator_identity_check(U, V, psi)
+        lhs, rhs = commutator_identity_check(U @ psi.psi, V @ psi.psi, psi)
         assert abs(lhs) <= 1e-14
         assert abs(rhs) <= 1e-14
 
     def test_agreement_on_random_triples(self, rng):
         for _ in range(20):
-            U = HamiltonianSpec(kernel=random_hermitian(4, rng))
-            V = HamiltonianSpec(kernel=random_hermitian(4, rng))
+            U = random_hermitian(4, rng)
+            V = random_hermitian(4, rng)
             psi = to_complex(sample_interior_points(4, 1, rng=rng, include_barycenter=False)[0])
-            lhs, rhs = commutator_identity_check(U, V, psi)
+            lhs, rhs = commutator_identity_check(U @ psi.psi, V @ psi.psi, psi)
             assert abs(lhs - rhs) <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 8, 32, 128])
     def test_right_side_matches_the_dense_commutator(self, n, rng):
-        # The O(n^2) right side 2 Im <U psi|V psi> against -i <psi|[U, V]|psi>.
+        # The O(n) right side 2 Im <U psi|V psi> against -i <psi|[U, V]|psi>.
         for _ in range(5):
             U = random_hermitian(n, rng)
             V = random_hermitian(n, rng)
             psi = to_complex(sample_interior_points(n, 1, rng=rng, include_barycenter=False)[0])
-            _, rhs = commutator_identity_check(HamiltonianSpec(kernel=U), HamiltonianSpec(kernel=V), psi)
+            _, rhs = commutator_identity_check(U @ psi.psi, V @ psi.psi, psi)
             dense = (-1j * np.vdot(psi.psi, (U @ V - V @ U) @ psi.psi)).real
             assert abs(rhs - dense) <= 1e-12, n
 
-    def test_rejects_terms_beyond_the_kernel(self):
+    def test_rejects_images_of_another_length(self):
         psi = ComplexState([INV_SQRT2, INV_SQRT2 * 1j])
-        U = HamiltonianSpec(kernel=SIGMA_X)
-        for other in (HamiltonianSpec(linear_bra=[1.0, 0.0], linear_ket=[1.0, 0.0]),
-                      HamiltonianSpec(kernel=SIGMA_Z, nonlinear="quartic_psi")):
-            with pytest.raises(ValueError):
-                commutator_identity_check(U, other, psi)
+        with pytest.raises(DimensionError):
+            commutator_identity_check(SIGMA_X @ psi.psi, np.ones(3), psi)
+        with pytest.raises(DimensionError):
+            commutator_identity_check(np.ones(1), SIGMA_Z @ psi.psi, psi)
+
+    def test_refuses_a_boundary_state(self):
+        psi = ComplexState([1.0, 0.0])
+        with pytest.raises(BoundaryError):
+            commutator_identity_check(SIGMA_X @ psi.psi, SIGMA_Z @ psi.psi, psi)
 
 
 class TestBornRuleAndGauge:

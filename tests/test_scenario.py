@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from simplexflow import (
     write_trajectory_csv,
 )
 import simplexflow.flows as flows
+import simplexflow.hilbert as hilbert
 import simplexflow.scenario as scenario
 from simplexflow.cli import _run_one, main as cli_main
 from simplexflow.diagnostics import random_hermitian, sample_interior_points
@@ -562,19 +564,54 @@ class TestCheckRegistry:
             rows = check.residuals(cfg.with_seed(seed), None, {})
             assert rows["fs_consistency.constant"] > 0.5, (seed, rows)
 
-    @pytest.mark.parametrize("n", [2, 8, 32, 128])
+    @pytest.mark.parametrize("n", [2, 8, 32, 128, 4096])
     def test_bracket_commutator_passes_at_every_n_from_one_draw_per_pair(self, n, monkeypatch):
+        # The check reads only n and the seed, so one small config serves every n.
         check = CHECKS["bracket_commutator"]
-        cfg = config_from_dict(qubit_config(
-            n=n, hamiltonian={"kernel": {"real": np.diag(np.arange(n, dtype=float)).tolist()}},
-            initial_state={"rho": [1.0 / n] * n, "pi": [0.0] * n}, checks=["bracket_commutator"]))
-        draws = []
-        draw = scenario.random_hermitian_pair
-        monkeypatch.setattr(scenario, "random_hermitian_pair", lambda *args: draws.append(1) or draw(*args))
-        for seed in range(10):
-            rows = check.residuals(cfg.with_seed(seed), None, {})
-            assert rows["bracket_commutator"] <= check.tolerances["bracket_commutator"], (seed, rows)
-        assert len(draws) == 10 * 50
+        cfg = dataclasses.replace(config_from_dict(qubit_config(checks=["bracket_commutator"])), n=n)
+        draws, specs = [], []
+        draw, build = scenario._rank_two_image, flows.HamiltonianSpec.__post_init__
+        monkeypatch.setattr(scenario, "_rank_two_image", lambda *args: draws.append(1) or draw(*args))
+        monkeypatch.setattr(flows.HamiltonianSpec, "__post_init__", lambda self: specs.append(1) or build(self))
+        tracemalloc.start()
+        try:
+            residuals = [check.residuals(cfg, None, {})["bracket_commutator"]]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        residuals += [check.residuals(cfg.with_seed(seed), None, {})["bracket_commutator"] for seed in range(4)]
+        assert max(residuals) <= check.tolerances["bracket_commutator"], residuals
+        assert len(draws) == 5 * 50 * 2 and not specs
+        # A few dozen work vectors at most: one n x n array alone is 16 n^2 bytes.
+        assert peak <= 16 * n * 64 + 2**22, peak
+
+    @pytest.mark.parametrize("n", [2, 128, 4096])
+    def test_bracket_commutator_fails_on_a_wrong_chart(self, n, monkeypatch):
+        # Halving dH/dpi in the gradient helper halves the left side only.
+        gradient = hilbert._chart_gradient
+
+        def wrong_chart(*args):
+            dr, dp = gradient(*args)
+            return dr, 0.5 * dp
+
+        monkeypatch.setattr(hilbert, "_chart_gradient", wrong_chart)
+        cfg = dataclasses.replace(config_from_dict(qubit_config(checks=["bracket_commutator"])), n=n)
+        rows = CHECKS["bracket_commutator"].residuals(cfg, None, {})
+        assert rows["bracket_commutator"] > 1e-3, rows
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 128])
+    def test_rank_two_image_is_the_dense_product(self, n):
+        # a's real and imaginary parts, then b's, are drawn from the stream.
+        for seed in range(3):
+            rng, raw_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            psi = np.random.default_rng([seed, 1]).standard_normal(n) + 0.5j
+            image = scenario._rank_two_image(psi, rng)
+            a = raw_rng.standard_normal(n) + 1j * raw_rng.standard_normal(n)
+            b = raw_rng.standard_normal(n) + 1j * raw_rng.standard_normal(n)
+            a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+            dense = np.outer(a, b.conj()) + np.outer(b, a.conj())
+            assert np.max(np.abs(image - dense @ psi)) <= 1e-15 * n * np.linalg.norm(psi)
+            assert rng.bit_generator.state == raw_rng.bit_generator.state
 
     def test_one_field_jacobian_per_sample_point(self, monkeypatch, tmp_path):
         calls = []
@@ -718,6 +755,17 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)
         assert "error: cannot write outputs:" in result.output
 
+    def test_run_out_at_a_file_exits_2_with_the_message_of_batch(self, tmp_path):
+        # The file reaches the shared runner, as under batch, instead of
+        # stopping in click's usage check with another message.
+        path = self.write(tmp_path)
+        (tmp_path / "blocked").write_text("a file, not a directory")
+        proc = subprocess.run([sys.executable, "-m", "simplexflow", "run", str(path), "--out",
+                               str(tmp_path / "blocked")], env=_src_env(), capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "error: cannot write outputs:" in proc.stderr
+
     def test_batch_runs_the_files_after_one_whose_outputs_cannot_be_written(self, tmp_path):
         scenarios = tmp_path / "scenarios"
         scenarios.mkdir()
@@ -802,20 +850,22 @@ class TestCli:
         assert result.exit_code == 2
 
 
-def test_cli_import_leaves_the_process_pool_unloaded():
+def _src_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
     src = str(Path(simplexflow.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
     code = ("import sys, simplexflow.cli; "
             "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
 
 def test_python_dash_m_runs_the_cli():
-    src = str(Path(simplexflow.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "simplexflow", "--help"], env=env,
+    proc = subprocess.run([sys.executable, "-m", "simplexflow", "--help"], env=_src_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "batch" in proc.stdout
