@@ -22,12 +22,18 @@ from .flows import (
     HamiltonianSpec,
     PhasePoint,
     _field_arrays,
+    _psi_from,
     integrate_midpoint,
 )
 from .geometry import (
     CANONICAL_PARAMS,
+    NORM_TOL,
     MetricParams,
     _metric_blocks_derivative,
+    _metric_parts,
+    _ray_lengths,
+    _row_dot,
+    _row_norm,
     _times_metric,
     _times_metric_inverse,
     as_vector,
@@ -37,7 +43,6 @@ from .geometry import (
 from .hilbert import (
     ComplexState,
     from_complex,
-    inner_product,
     propagate_unitary,
     to_complex,
 )
@@ -77,10 +82,15 @@ def sample_interior_points(
     if include_barycenter:
         points.append(PhasePoint(np.full(n, 1.0 / n), np.zeros(n)))
     for _ in range(count):
-        rho = margin / n + (1.0 - margin) * rng.dirichlet(np.ones(n))
-        pi = rng.uniform(0.0, 2.0 * np.pi, n)
-        points.append(PhasePoint(rho, pi))
+        points.append(PhasePoint(*_interior_draw(n, rng, margin)))
     return points
+
+
+def _interior_draw(n: int, rng: np.random.Generator, margin: float = 0.4) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, pi) of one `sample_interior_points` draw: the Dirichlet draw,
+    then the uniform momenta."""
+    rho = margin / n + (1.0 - margin) * rng.dirichlet(np.ones(n))
+    return rho, rng.uniform(0.0, 2.0 * np.pi, n)
 
 
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -197,6 +207,10 @@ def fs_consistency(
     with alpha = arg<psi|phi>, which equals it for unit states but keeps its
     digits where the overlap is within rounding of 1.  Requires a normalized
     psi, a tangent drho (sum zero) and distinct epsilons.
+
+    The epsilons are evaluated together, one row each.  A displacement that
+    `induced_metric_ts` or `PhasePoint` rejects raises their error, unless
+    a larger epsilon has already found a zero angle.
     """
     if not psi.is_normalized:
         raise NormalizationError(f"psi must be normalized, total weight {psi.rho_total!r}")
@@ -213,16 +227,30 @@ def fs_consistency(
     scale = float(drho @ drho + dpi @ dpi)
     if base <= 1e-13 * max(scale, 1e-30):
         return FsRatios(eps_sorted, (), True)
-    ratios = []
-    for eps in eps_sorted:
-        numerator = induced_metric_ts(rho, eps * drho, eps * dpi, params)
-        phi = to_complex(PhasePoint(rho + eps * drho, pi + eps * dpi))
-        aligned = np.exp(1j * np.angle(inner_product(psi, phi))) * psi.psi
-        angle = 2.0 * float(np.arcsin(0.5 * np.linalg.norm(aligned - phi.psi)))
-        if angle == 0.0:
-            return FsRatios(eps_sorted, (), True)
-        ratios.append(numerator / angle**2)
-    return FsRatios(eps_sorted, tuple(ratios), False)
+    eps = np.array(eps_sorted)[:, None]
+    step_rho, step_pi = eps * drho, eps * dpi
+    moved = rho + step_rho
+    # The rows induced_metric_ts or PhasePoint would reject: non-finite
+    # steps, a drift of sum(step_rho) beyond NORM_TOL, a negative moved rho.
+    # A row with +inf and -inf steps sums to nan; it is rejected as
+    # non-finite already.
+    with np.errstate(invalid="ignore"):
+        drift = np.abs(step_rho.sum(axis=1))
+    rejected = (~np.isfinite(step_rho).all(axis=1) | ~np.isfinite(step_pi).all(axis=1)
+                | (drift > NORM_TOL) | (moved.min(axis=1) < 0.0))
+    accepted = int(np.argmax(rejected)) if rejected.any() else len(eps_sorted)
+    numerators = _ray_lengths(step_rho[:accepted], step_pi[:accepted], _metric_parts(rho, params))
+    phi = _psi_from(moved[:accepted], pi + step_pi[:accepted])
+    aligned = np.exp(1j * np.angle(_row_dot(psi.psi.conj(), phi)))[:, None] * psi.psi
+    angles = 2.0 * np.arcsin(0.5 * _row_norm(aligned - phi))
+    if np.any(angles == 0.0):
+        return FsRatios(eps_sorted, (), True)
+    if accepted < len(eps_sorted):
+        # The first rejected row, through the calls that raise its error.
+        e = eps_sorted[accepted]
+        induced_metric_ts(rho, e * drho, e * dpi, params)
+        PhasePoint(rho + e * drho, pi + e * dpi)
+    return FsRatios(eps_sorted, tuple((numerators / angles**2).tolist()), False)
 
 
 #: Coefficient families sharing B(1) = 1 for the independence sweep.

@@ -58,6 +58,33 @@ def as_vector(values, name: str = "vector", n: int | None = None, dtype=float) -
     return arr
 
 
+def as_rows(values, name: str, shape: tuple[int, ...] | None = None, dtype=float) -> np.ndarray:
+    """Coerce to a finite array of nonempty rows along the last axis,
+    optionally of a fixed shape."""
+    arr = np.asarray(values, dtype=dtype)
+    if arr.ndim == 0 or arr.shape[-1] == 0:
+        raise DimensionError(f"{name} must hold nonempty rows, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} has non-finite entries")
+    if shape is not None and arr.shape != shape:
+        raise DimensionError(f"{name} has shape {arr.shape}, expected {shape}")
+    return arr
+
+
+def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_i x_i y_i along the last axis, row by row; rows broadcast and a
+    single pair gives a scalar.  np.matmul takes each 1 x n by n x 1
+    product through the dot routine of np.dot, so a row has the bits of its
+    own 1-d product (np.vdot(x, y) is _row_dot(x.conj(), y)), which a
+    matrix-vector product does not keep."""
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+def _row_norm(z: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each complex row along the last axis, with its bits."""
+    return np.sqrt(_row_dot(z.real, z.real) + _row_dot(z.imag, z.imag))
+
+
 def as_square_matrix(values, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite square 2-d complex array."""
     arr = np.asarray(values, dtype=complex)
@@ -208,7 +235,8 @@ def info_metric(rho, params: MetricParams = CANONICAL_PARAMS) -> np.ndarray:
     rho = as_vector(rho, "rho")
     require_interior(rho)
     g, _ = _metric_blocks(rho, params)
-    return readonly(g)
+    g.setflags(write=False)
+    return g
 
 
 def phase_space_metric(rho, params: MetricParams = CANONICAL_PARAMS) -> np.ndarray:
@@ -221,7 +249,8 @@ def phase_space_metric(rho, params: MetricParams = CANONICAL_PARAMS) -> np.ndarr
     G = np.zeros((2 * n, 2 * n))
     G[:n, :n] = g
     G[n:, n:] = g_inv
-    return readonly(G)
+    G.setflags(write=False)
+    return G
 
 
 def symplectic_matrix(n: int) -> np.ndarray:
@@ -231,7 +260,8 @@ def symplectic_matrix(n: int) -> np.ndarray:
     omega = np.zeros((2 * n, 2 * n))
     omega[:n, n:] = np.eye(n)
     omega[n:, :n] = -np.eye(n)
-    return readonly(omega)
+    omega.setflags(write=False)
+    return omega
 
 
 def symplectic_eval(u, v) -> float:
@@ -260,7 +290,24 @@ def complex_structure(rho, params: MetricParams = CANONICAL_PARAMS) -> np.ndarra
     J = np.zeros((2 * n, 2 * n))
     J[:n, n:] = -g_inv
     J[n:, :n] = g
-    return readonly(J)
+    J.setflags(write=False)
+    return J
+
+
+def _embedding_lengths(drho: np.ndarray, dpi: np.ndarray, parts) -> np.ndarray:
+    """Squared lengths g(drho, drho) + g^{-1}(dpi, dpi) of the displacement
+    rows (drho, dpi), (..., n) each, in O(n) per row from the
+    diagonal-plus-rank-one forms ``parts`` = `_metric_parts` of their base."""
+    gamma, a, d, c = parts
+    return (_row_dot(gamma, drho**2) + a * drho.sum(axis=-1) ** 2 + _row_dot(d, dpi**2)
+            - c * _row_dot(d, dpi) ** 2)
+
+
+def _ray_lengths(drho: np.ndarray, dpi: np.ndarray, parts) -> np.ndarray:
+    """`_embedding_lengths` of the rows with each dpi shifted by its
+    minimizing gauge nu = -(d.dpi) / sum(d) (see `induced_metric_ts`)."""
+    d = parts[2]
+    return _embedding_lengths(drho, dpi - (_row_dot(d, dpi) / d.sum())[..., None], parts)
 
 
 def embedding_length(drho, dpi, rho, params: MetricParams = CANONICAL_PARAMS) -> float:
@@ -270,8 +317,7 @@ def embedding_length(drho, dpi, rho, params: MetricParams = CANONICAL_PARAMS) ->
     require_interior(rho)
     drho = as_vector(drho, "drho", rho.size)
     dpi = as_vector(dpi, "dpi", rho.size)
-    gamma, a, d, c = _metric_parts(rho, params)
-    return float(gamma @ drho**2 + a * drho.sum() ** 2 + d @ dpi**2 - c * (d @ dpi) ** 2)
+    return float(_embedding_lengths(drho, dpi, _metric_parts(rho, params)))
 
 
 def induced_metric_ts(rho, drho, dpi, params: MetricParams = CANONICAL_PARAMS) -> float:
@@ -297,5 +343,4 @@ def induced_metric_ts(rho, drho, dpi, params: MetricParams = CANONICAL_PARAMS) -
     drift = float(drho.sum())
     if abs(drift) > NORM_TOL:
         raise NormalizationError(f"drho must be tangent to the simplex, sum(drho) = {drift:.3e}")
-    _, _, d, _ = _metric_parts(rho, params)
-    return embedding_length(drho, dpi - float(d @ dpi) / float(d.sum()), rho, params)
+    return float(_ray_lengths(drho, dpi, _metric_parts(rho, params)))

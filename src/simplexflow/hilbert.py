@@ -6,7 +6,8 @@ is the standard sum conj(psi_i) phi_i, which the constant chart tensors
 matrix exponential exp(-i K tau), evaluated through the eigendecomposition so
 the accuracy is uniform in tau.  The bracket identity
 {U~, V~} = -i <psi|[U, V]|psi> reads U and V only through U psi and V psi,
-so both its sides take O(n).
+so both its sides take O(n), and it is evaluated for a stack of states at
+once.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ from .flows import (
     _psi_from,
     _weights,
     _wrap,
-    bracket_from_gradients,
 )
-from .geometry import NORM_TOL, as_vector, readonly, require_interior
+from .geometry import NORM_TOL, _row_dot, as_rows, as_vector, readonly, require_interior
 
 
 @dataclass(frozen=True)
@@ -99,19 +99,23 @@ def propagate_unitary(K: HermitianOperator, psi0: ComplexState, tau: float) -> C
     return ComplexState(V @ (phases * (V.conj().T @ psi0.psi)))
 
 
-def commutator_identity_check(u_psi, v_psi, psi: ComplexState) -> tuple[float, float]:
+def commutator_identity_check(u_psi, v_psi, psi):
     """Both sides of {U~, V~} = -i <psi|[U, V]|psi> at psi for Hermitian U
     and V, given as their images ``u_psi`` = U psi and ``v_psi`` = V psi.
 
-    The left side is the (rho, pi) Poisson bracket of U~ = <psi|U|psi> and V~
-    from the chart gradients of q = conj(psi) U psi, with rho = |psi|^2.  The
-    right side is real because [U, V] is anti-Hermitian: with
-    z = <U psi|V psi> it is -i (z - conj(z)) = 2 Im z.  The two agree
-    identically, so the difference is pure rounding.  Requires the interior.
+    ``psi`` is a ComplexState or complex rows (..., n), one state per row,
+    and the images are rows of the same shape; the sides are arrays over the
+    leading axes, floats for a single state.  The left side is the (rho, pi)
+    Poisson bracket of U~ = <psi|U|psi> and V~ from the chart gradients of
+    q = conj(psi) U psi, with rho = |psi|^2.  The right side is real because
+    [U, V] is anti-Hermitian: with z = <U psi|V psi> it is
+    -i (z - conj(z)) = 2 Im z.  The two agree identically, so the difference
+    is pure rounding.  Requires the interior.
     """
-    u_psi = as_vector(u_psi, "u_psi", psi.n, dtype=complex)
-    v_psi = as_vector(v_psi, "v_psi", psi.n, dtype=complex)
-    rho = _weights(psi.psi)
+    psi = as_rows(psi.psi if isinstance(psi, ComplexState) else psi, "psi", dtype=complex)
+    u_psi = as_rows(u_psi, "u_psi", psi.shape, dtype=complex)
+    v_psi = as_rows(v_psi, "v_psi", psi.shape, dtype=complex)
+    rho = _weights(psi)
     require_interior(rho)
-    lhs = bracket_from_gradients(*(_chart_gradient(psi.psi, rho, w, 0.0) for w in (u_psi, v_psi)))
-    return lhs, 2.0 * float(np.vdot(u_psi, v_psi).imag)
+    (dr_u, dp_u), (dr_v, dp_v) = (_chart_gradient(psi, rho, w, 0.0) for w in (u_psi, v_psi))
+    return _row_dot(dr_u, dp_v) - _row_dot(dp_u, dr_v), 2.0 * _row_dot(u_psi.conj(), v_psi).imag

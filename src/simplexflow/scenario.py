@@ -23,6 +23,7 @@ from ._csvformat import format_table
 from ._version import __version__
 from .diagnostics import (
     FS_RATIO_CONSTANT,
+    _interior_draw,
     ab_independence_sweep,
     convergence_study,
     fs_consistency,
@@ -38,12 +39,15 @@ from .flows import (
     PhasePoint,
     Trajectory,
     _eval_complex,
+    _psi_from,
     check_normalization_generator,
     integrate_midpoint,
 )
 from .geometry import (
     CANONICAL_PARAMS,
     MetricParams,
+    _row_dot,
+    _row_norm,
     _times_metric,
     _times_metric_inverse,
     complex_structure,
@@ -87,6 +91,12 @@ INITIAL_NORM_TOL = 1e-9
 #: bounds the CSV text held in memory and keeps each of the formatter's byte
 #: work arrays (29 bytes per value) under 128 KiB.
 CSV_CHUNK_VALUES = 4096
+
+#: State entries per block of `bracket_commutator` pairs (whole pairs, at
+#: least one).  A block is evaluated as stacked rows, and its largest work
+#: array holds eight normals per entry: 128 KiB, or one pair's 64 n bytes
+#: where n > 2048.
+BRACKET_BLOCK_VALUES = 2048
 
 DEFAULT_CONVERGENCE_H = (4e-3, 2e-3, 1e-3, 5e-4)
 DEFAULT_CONVERGENCE_TAU = 1.0
@@ -564,29 +574,37 @@ def _convergence(config, trajectory, extras):
     return study.residuals
 
 
-def _rank_two_image(psi: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """U psi = a (b^H psi) + b (a^H psi) for the Hermitian U = a b^H + b a^H,
-    with complex Gaussian a and b scaled to unit norm.  Draw order: the real
-    part of a, its imaginary part, then those of b, n values each.  Every
-    vector is U psi for some Hermitian U, so the images stand for any."""
-    n = psi.size
-    a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    a /= np.linalg.norm(a)
-    b /= np.linalg.norm(b)
-    return a * np.vdot(b, psi) + b * np.vdot(a, psi)
+def _rank_two_image(psi: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """U psi = a (b^H psi) + b (a^H psi) per row of ``psi`` (..., n) for the
+    Hermitian U = a b^H + b a^H, where ``normals`` (..., 4, n) holds the
+    real and imaginary parts of a, then those of b, and a and b are scaled
+    to unit norm.  Every vector is U psi for some Hermitian U, so the images
+    stand for any."""
+    a = normals[..., 0, :] + 1j * normals[..., 1, :]
+    b = normals[..., 2, :] + 1j * normals[..., 3, :]
+    a /= _row_norm(a)[..., None]
+    b /= _row_norm(b)[..., None]
+    return a * _row_dot(b.conj(), psi)[..., None] + b * _row_dot(a.conj(), psi)[..., None]
 
 
 def _bracket_commutator(config, trajectory, extras):
-    # Relative to |U psi| |V psi|, so the row does not drift with n or scale.
+    # Each pair draws its state, then the parts of a and b for U and for V;
+    # a block of pairs is then evaluated as rows.  The residual is relative
+    # to |U psi| |V psi|, so the row does not drift with n or scale.
+    n, pairs = config.n, 50
     rng = _check_rng(config, "bracket_commutator")
+    block = max(1, BRACKET_BLOCK_VALUES // n)
     worst = 0.0
-    for _ in range(50):
-        psi = to_complex(_single_interior_point(config.n, rng))
-        u_psi = _rank_two_image(psi.psi, rng)
-        v_psi = _rank_two_image(psi.psi, rng)
+    for start in range(0, pairs, block):
+        m = min(block, pairs - start)
+        rho, pi, normals = np.empty((m, n)), np.empty((m, n)), np.empty((m, 8, n))
+        for k in range(m):
+            rho[k], pi[k] = _interior_draw(n, rng)
+            rng.standard_normal(out=normals[k])
+        psi = _psi_from(rho, pi)
+        u_psi, v_psi = _rank_two_image(psi, normals[:, :4]), _rank_two_image(psi, normals[:, 4:])
         lhs, rhs = commutator_identity_check(u_psi, v_psi, psi)
-        worst = max(worst, abs(lhs - rhs) / float(np.linalg.norm(u_psi) * np.linalg.norm(v_psi)))
+        worst = max(worst, float(np.max(np.abs(lhs - rhs) / (_row_norm(u_psi) * _row_norm(v_psi)))))
     return {"bracket_commutator": worst}
 
 

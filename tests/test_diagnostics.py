@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,13 +12,17 @@ from simplexflow import (
     FsRatios,
     HamiltonianSpec,
     MetricParams,
+    NormalizationError,
     ParamError,
     PhasePoint,
     ab_independence_sweep,
     classify_flow,
     convergence_study,
     embedding_length,
+    from_complex,
     fs_consistency,
+    induced_metric_ts,
+    inner_product,
     lie_derivative_metric,
     lie_derivative_symplectic,
     phase_space_metric,
@@ -270,8 +276,61 @@ class TestClassifyFlow:
             classify_flow(CONTROL, [])
 
 
+def fs_ratios_per_epsilon(psi, drho, dpi, epsilons, params=CANONICAL_PARAMS):
+    """The ratios of `fs_consistency` past its base checks, one epsilon at a
+    time through the validating public calls; () at a zero angle."""
+    point, _ = from_complex(psi)
+    ratios = []
+    for eps in sorted(epsilons, reverse=True):
+        numerator = induced_metric_ts(point.rho, eps * drho, eps * dpi, params)
+        phi = to_complex(PhasePoint(point.rho + eps * drho, point.pi + eps * dpi))
+        aligned = np.exp(1j * np.angle(inner_product(psi, phi))) * psi.psi
+        angle = 2.0 * float(np.arcsin(0.5 * np.linalg.norm(aligned - phi.psi)))
+        if angle == 0.0:
+            return ()
+        ratios.append(numerator / angle**2)
+    return tuple(ratios)
+
+
 class TestFsConsistency:
     EPSILONS = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
+
+    @pytest.mark.parametrize("n", [2, 8, 128])
+    def test_rows_match_a_loop_over_epsilons(self, n, rng):
+        for params in (CANONICAL_PARAMS, MetricParams(a_coeffs=(3.0,))):
+            for _ in range(4):
+                psi = to_complex(sample_interior_points(n, 1, rng=rng, include_barycenter=False)[0])
+                drho = rng.standard_normal(n)
+                drho -= drho.mean()
+                dpi = rng.standard_normal(n)
+                scale = 4.0 * np.sqrt(induced_metric_ts(from_complex(psi)[0].rho, drho, dpi))
+                drho, dpi = drho / scale, dpi / scale
+                result = fs_consistency(psi, drho, dpi, self.EPSILONS, params=params)
+                assert_allclose(result.ratios, fs_ratios_per_epsilon(psi, drho, dpi, self.EPSILONS, params),
+                                rtol=1e-12, atol=0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_rejected_epsilons_raise_what_a_loop_raises(self):
+        # The largest epsilon that leaves the cone, breaks tangency or
+        # overflows raises the error of the call that rejects it; a zero
+        # angle returns a gauge-null result instead.
+        psi = to_complex(PhasePoint([0.5, 0.5], [0.0, 0.0]))
+        tangent = np.array([1.0, -1.0])
+        cases = [
+            (tangent, np.zeros(2), (1e-2, 1.0), ValueError),  # rho + eps drho < 0
+            (tangent + [0.0, 1e-13], np.zeros(2), (100.0, 1e-2), NormalizationError),  # drift, and rho < 0
+            (10.0 * tangent, np.zeros(2), (1e-3, 1e308), ValueError),  # eps drho overflows
+            (1e-3 * tangent, np.array([1e150, 0.0]), (1e-3, 1e160), ValueError),  # eps dpi overflows
+        ]
+        for drho, dpi, epsilons, error in cases:
+            with pytest.raises(error) as expected:
+                fs_ratios_per_epsilon(psi, drho, dpi, epsilons)
+            with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+                fs_consistency(psi, drho, dpi, epsilons)
+        # phi == psi at the smaller epsilon.
+        assert fs_ratios_per_epsilon(psi, 1e-10 * tangent, np.zeros(2), (1e-2, 1e-10)) == ()
+        result = fs_consistency(psi, 1e-10 * tangent, np.zeros(2), (1e-2, 1e-10))
+        assert result.gauge_null and result.ratios == ()
 
     def test_oracle_pins_frozen_constant(self):
         # Pre-build oracle for the regression value: brute-force numerator

@@ -233,6 +233,16 @@ class TestCommutatorIdentity:
         with pytest.raises(DimensionError):
             commutator_identity_check(np.ones(1), SIGMA_Z @ psi.psi, psi)
 
+    def test_rejects_rows_of_another_shape_and_non_finite_states(self):
+        psi = np.array([[INV_SQRT2, INV_SQRT2 * 1j], [INV_SQRT2, -INV_SQRT2]])
+        images = psi @ SIGMA_X.T
+        with pytest.raises(DimensionError):
+            commutator_identity_check(images[0], images, psi)
+        with pytest.raises(DimensionError):
+            commutator_identity_check(images, images, psi[:, :0])
+        with pytest.raises(ValueError, match="psi has non-finite entries"):
+            commutator_identity_check(images, images, np.where(np.eye(2, dtype=bool), np.nan, psi))
+
     def test_refuses_a_boundary_state(self):
         psi = ComplexState([1.0, 0.0])
         with pytest.raises(BoundaryError):

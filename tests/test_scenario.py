@@ -24,12 +24,14 @@ from simplexflow import (
     HamiltonianSpec,
     MetricParams,
     classify_flow,
+    commutator_identity_check,
     complex_structure,
     config_from_dict,
     emit_report,
     integrate_midpoint,
     lie_derivative_metric,
     run_scenario,
+    to_complex,
     validate_config,
     write_trajectory_csv,
 )
@@ -569,9 +571,9 @@ class TestCheckRegistry:
         # The check reads only n and the seed, so one small config serves every n.
         check = CHECKS["bracket_commutator"]
         cfg = dataclasses.replace(config_from_dict(qubit_config(checks=["bracket_commutator"])), n=n)
-        draws, specs = [], []
-        draw, build = scenario._rank_two_image, flows.HamiltonianSpec.__post_init__
-        monkeypatch.setattr(scenario, "_rank_two_image", lambda *args: draws.append(1) or draw(*args))
+        rngs, specs = [], []
+        make, build = scenario._check_rng, flows.HamiltonianSpec.__post_init__
+        monkeypatch.setattr(scenario, "_check_rng", lambda *args: rngs.append(make(*args)) or rngs[-1])
         monkeypatch.setattr(flows.HamiltonianSpec, "__post_init__", lambda self: specs.append(1) or build(self))
         tracemalloc.start()
         try:
@@ -579,9 +581,19 @@ class TestCheckRegistry:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        residuals += [check.residuals(cfg.with_seed(seed), None, {})["bracket_commutator"] for seed in range(4)]
+        seeds = [cfg.seed, *range(4)]
+        residuals += [check.residuals(cfg.with_seed(seed), None, {})["bracket_commutator"] for seed in seeds[1:]]
         assert max(residuals) <= check.tolerances["bracket_commutator"], residuals
-        assert len(draws) == 5 * 50 * 2 and not specs
+        assert not specs
+        # Each pair draws its state, then a and b of U and of V, n values a part.
+        for seed, rng in zip(seeds, rngs, strict=True):
+            reference = np.random.default_rng([seed, check.stream])
+            for _ in range(50):
+                reference.dirichlet(np.ones(n))
+                reference.uniform(0.0, 2.0 * np.pi, n)
+                for _ in range(8):
+                    reference.standard_normal(n)
+            assert rng.bit_generator.state == reference.bit_generator.state, seed
         # A few dozen work vectors at most: one n x n array alone is 16 n^2 bytes.
         assert peak <= 16 * n * 64 + 2**22, peak
 
@@ -601,17 +613,35 @@ class TestCheckRegistry:
 
     @pytest.mark.parametrize("n", [1, 2, 8, 128])
     def test_rank_two_image_is_the_dense_product(self, n):
-        # a's real and imaginary parts, then b's, are drawn from the stream.
+        # Row k of the normals holds a's real and imaginary parts, then b's.
         for seed in range(3):
-            rng, raw_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            psi = np.random.default_rng([seed, 1]).standard_normal(n) + 0.5j
-            image = scenario._rank_two_image(psi, rng)
-            a = raw_rng.standard_normal(n) + 1j * raw_rng.standard_normal(n)
-            b = raw_rng.standard_normal(n) + 1j * raw_rng.standard_normal(n)
-            a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
-            dense = np.outer(a, b.conj()) + np.outer(b, a.conj())
-            assert np.max(np.abs(image - dense @ psi)) <= 1e-15 * n * np.linalg.norm(psi)
-            assert rng.bit_generator.state == raw_rng.bit_generator.state
+            rng = np.random.default_rng(seed)
+            psi = np.random.default_rng([seed, 1]).standard_normal((4, n)) + 0.5j
+            normals = rng.standard_normal((4, 4, n))
+            images = scenario._rank_two_image(psi, normals)
+            assert images.shape == psi.shape
+            for k, (re_a, im_a, re_b, im_b) in enumerate(normals):
+                a, b = re_a + 1j * im_a, re_b + 1j * im_b
+                a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+                dense = np.outer(a, b.conj()) + np.outer(b, a.conj())
+                assert np.max(np.abs(images[k] - dense @ psi[k])) <= 1e-15 * n * np.linalg.norm(psi[k])
+
+    @pytest.mark.parametrize("n", [2, 8, 128])
+    def test_stacked_bracket_rows_match_single_states(self, n):
+        # The check evaluates a block of pairs as rows; each row must read
+        # what commutator_identity_check gives for its state alone.
+        rng = np.random.default_rng([n, 8])
+        states = [to_complex(X) for X in sample_interior_points(n, 6, rng=rng, include_barycenter=False)]
+        psi = np.array([state.psi for state in states])
+        normals = rng.standard_normal((6, 8, n))
+        u_psi, v_psi = scenario._rank_two_image(psi, normals[:, :4]), scenario._rank_two_image(psi, normals[:, 4:])
+        lhs, rhs = commutator_identity_check(u_psi, v_psi, psi)
+        assert lhs.shape == rhs.shape == (6,)
+        for k, state in enumerate(states):
+            single = commutator_identity_check(u_psi[k], v_psi[k], state)
+            assert all(isinstance(side, float) for side in single)
+            scale = np.linalg.norm(u_psi[k]) * np.linalg.norm(v_psi[k])
+            assert abs(lhs[k] - single[0]) <= 1e-15 * scale and abs(rhs[k] - single[1]) <= 1e-15 * scale
 
     def test_one_field_jacobian_per_sample_point(self, monkeypatch, tmp_path):
         calls = []
