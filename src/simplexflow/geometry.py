@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     BoundaryError,
     DimensionError,
+    NonFiniteError,
     NormalizationError,
     ParamError,
     SingularError,
@@ -37,6 +38,9 @@ EPS_FLOOR = 1e-10
 
 #: Tolerance for "sums to one" and "sums to zero" style preconditions.
 NORM_TOL = 1e-12
+
+#: Smallest |1 + A sum(d)| for which g is treated as invertible.
+SINGULAR_TOL = 1e-12
 
 
 def readonly(values, dtype=float) -> np.ndarray:
@@ -165,33 +169,33 @@ def _metric_parts(rho: np.ndarray, params: MetricParams) -> tuple[np.ndarray, fl
     a = params.a_value(s)
     d = 2.0 * rho / b
     denom = 1.0 + a * float(d.sum())
-    if abs(denom) < 1e-12:
+    if abs(denom) < SINGULAR_TOL:
         raise SingularError(f"information metric is numerically singular (1 + A tr = {denom:.3e})")
     return b / (2.0 * rho), a, d, a / denom
 
 
-def _metric_blocks(rho: np.ndarray, params: MetricParams) -> tuple[np.ndarray, np.ndarray]:
-    """(g, g^{-1}) as dense matrices, from `_metric_parts`."""
-    gamma, a, d, c = _metric_parts(rho, params)
+def _metric_blocks(parts) -> tuple[np.ndarray, np.ndarray]:
+    """(g, g^{-1}) as dense matrices, from ``parts`` = `_metric_parts`."""
+    gamma, a, d, c = parts
     return np.diag(gamma) + a, np.diag(d) - c * np.outer(d, d)
 
 
-def _times_metric(m: np.ndarray, rho: np.ndarray, params: MetricParams) -> np.ndarray:
-    """m g at rho in O(n^2): the columns of m scaled by gamma, plus a times
-    the row sums of m in every column, for g = diag(gamma) + a n n^T.  The
-    rank-one term is skipped when a = 0."""
-    gamma, a, _, _ = _metric_parts(rho, params)
+def _times_metric(m: np.ndarray, parts) -> np.ndarray:
+    """m g in O(n^2) from ``parts`` = `_metric_parts`: the columns of m
+    scaled by gamma, plus a times the row sums of m in every column, for
+    g = diag(gamma) + a n n^T.  The rank-one term is skipped when a = 0."""
+    gamma, a, _, _ = parts
     out = m * gamma
     if a != 0.0:
         out += a * m.sum(axis=1)[:, None]
     return out
 
 
-def _times_metric_inverse(m: np.ndarray, rho: np.ndarray, params: MetricParams) -> np.ndarray:
-    """m g^{-1} at rho in O(n^2): the columns of m scaled by d, minus the
-    outer product of c (m d) and d, for g^{-1} = diag(d) - c d d^T.  The
-    rank-one term is skipped when c = 0."""
-    _, _, d, c = _metric_parts(rho, params)
+def _times_metric_inverse(m: np.ndarray, parts) -> np.ndarray:
+    """m g^{-1} in O(n^2) from ``parts`` = `_metric_parts`: the columns of m
+    scaled by d, minus the outer product of c (m d) and d, for
+    g^{-1} = diag(d) - c d d^T.  The rank-one term is skipped when c = 0."""
+    _, _, d, c = parts
     out = m * d
     if c != 0.0:
         out -= np.outer(c * (m @ d), d)
@@ -199,10 +203,10 @@ def _times_metric_inverse(m: np.ndarray, rho: np.ndarray, params: MetricParams) 
 
 
 def _metric_blocks_derivative(
-    rho: np.ndarray, drho: np.ndarray, params: MetricParams, g_inv: np.ndarray
+    rho: np.ndarray, drho: np.ndarray, params: MetricParams, parts, g_inv: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Directional derivatives (dg, d(g^{-1})) of `_metric_blocks` along drho,
-    given g^{-1} at rho.
+    given ``parts`` = `_metric_parts` and g^{-1} at rho.
 
     With s = |rho| and ds = sum(drho), dg = diag(delta) + alpha n n^T, where
     delta = (B'(s) ds - B(s) drho / rho) / (2 rho) and alpha = A'(s) ds, and
@@ -217,7 +221,7 @@ def _metric_blocks_derivative(
     alpha = _polyslope(params.a_coeffs, s) * ds
     dg = np.diag(delta)
     dg += alpha
-    dg_inv = _times_metric_inverse(g_inv * -delta, rho, params)
+    dg_inv = _times_metric_inverse(g_inv * -delta, parts)
     if alpha != 0.0:
         e = g_inv.sum(axis=1)
         dg_inv -= np.outer(alpha * e, e)
@@ -234,7 +238,7 @@ def info_metric(rho, params: MetricParams = CANONICAL_PARAMS) -> np.ndarray:
     """
     rho = as_vector(rho, "rho")
     require_interior(rho)
-    g, _ = _metric_blocks(rho, params)
+    g, _ = _metric_blocks(_metric_parts(rho, params))
     g.setflags(write=False)
     return g
 
@@ -244,7 +248,7 @@ def phase_space_metric(rho, params: MetricParams = CANONICAL_PARAMS) -> np.ndarr
     the squared speed of a curve is invariant under flow reversal."""
     rho = as_vector(rho, "rho")
     require_interior(rho)
-    g, g_inv = _metric_blocks(rho, params)
+    g, g_inv = _metric_blocks(_metric_parts(rho, params))
     n = rho.size
     G = np.zeros((2 * n, 2 * n))
     G[:n, :n] = g
@@ -285,13 +289,31 @@ def complex_structure(rho, params: MetricParams = CANONICAL_PARAMS) -> np.ndarra
     """
     rho = as_vector(rho, "rho")
     require_interior(rho)
-    g, g_inv = _metric_blocks(rho, params)
+    g, g_inv = _metric_blocks(_metric_parts(rho, params))
     n = rho.size
     J = np.zeros((2 * n, 2 * n))
     J[:n, n:] = -g_inv
     J[n:, :n] = g
     J.setflags(write=False)
     return J
+
+
+def _complex_structure_defect(rho: np.ndarray, params: MetricParams) -> float:
+    """max |J J + 1| for the J of `complex_structure`, which is never formed:
+    J J + 1 = blockdiag(1 - g^{-1} g, 1 - g g^{-1}), and each block is taken
+    with the opposite sign, as one O(n^2) product minus the identity.  The
+    first is reduced to its max before the second is formed, so the two
+    products are never held together."""
+    require_interior(rho)
+    parts = _metric_parts(rho, params)
+    g, g_inv = _metric_blocks(parts)
+    first = _times_metric(g_inv, parts)
+    first.flat[:: rho.size + 1] -= 1.0
+    worst = float(np.max(np.abs(first)))
+    del first
+    second = _times_metric_inverse(g, parts)
+    second.flat[:: rho.size + 1] -= 1.0
+    return max(worst, float(np.max(np.abs(second))))
 
 
 def _embedding_lengths(drho: np.ndarray, dpi: np.ndarray, parts) -> np.ndarray:
@@ -310,14 +332,24 @@ def _ray_lengths(drho: np.ndarray, dpi: np.ndarray, parts) -> np.ndarray:
     return _embedding_lengths(drho, dpi - (_row_dot(d, dpi) / d.sum())[..., None], parts)
 
 
+def _finite_length(length) -> float:
+    """A squared length as a float, or NonFiniteError where it overflowed."""
+    length = float(length)
+    if not np.isfinite(length):
+        raise NonFiniteError(f"squared length of the displacement is not finite ({length!r})")
+    return length
+
+
 def embedding_length(drho, dpi, rho, params: MetricParams = CANONICAL_PARAMS) -> float:
     """Squared length g(drho, drho) + g^{-1}(dpi, dpi) of a displacement,
-    in O(n) from the diagonal-plus-rank-one forms of `_metric_parts`."""
+    in O(n) from the diagonal-plus-rank-one forms of `_metric_parts`;
+    NonFiniteError where it overflows."""
     rho = as_vector(rho, "rho")
     require_interior(rho)
     drho = as_vector(drho, "drho", rho.size)
     dpi = as_vector(dpi, "dpi", rho.size)
-    return float(_embedding_lengths(drho, dpi, _metric_parts(rho, params)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite_length(_embedding_lengths(drho, dpi, _metric_parts(rho, params)))
 
 
 def induced_metric_ts(rho, drho, dpi, params: MetricParams = CANONICAL_PARAMS) -> float:
@@ -331,7 +363,8 @@ def induced_metric_ts(rho, drho, dpi, params: MetricParams = CANONICAL_PARAMS) -
     dpi = const and, once B(1) is fixed, does not depend on the A and B
     functions at all.  O(n), like `embedding_length`.
 
-    Requires sum(rho) = 1 and sum(drho) = 0, both within 1e-12.
+    Requires sum(rho) = 1 and sum(drho) = 0, both within NORM_TOL, and
+    raises NonFiniteError where the squared length overflows.
     """
     rho = as_vector(rho, "rho")
     require_interior(rho)
@@ -343,4 +376,5 @@ def induced_metric_ts(rho, drho, dpi, params: MetricParams = CANONICAL_PARAMS) -
     drift = float(drho.sum())
     if abs(drift) > NORM_TOL:
         raise NormalizationError(f"drho must be tangent to the simplex, sum(drho) = {drift:.3e}")
-    return float(_ray_lengths(drho, dpi, _metric_parts(rho, params)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite_length(_ray_lengths(drho, dpi, _metric_parts(rho, params)))

@@ -46,11 +46,9 @@ from .flows import (
 from .geometry import (
     CANONICAL_PARAMS,
     MetricParams,
+    _complex_structure_defect,
     _row_dot,
     _row_norm,
-    _times_metric,
-    _times_metric_inverse,
-    complex_structure,
     induced_metric_ts,
 )
 from .hilbert import (
@@ -161,6 +159,14 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def _unknown_keys(node: dict, known: tuple[str, ...], where: str, errors: list[str]) -> None:
+    """Report every key of ``node`` outside ``known``, so that a misspelled
+    key is an error rather than a silently applied default."""
+    for key in node:
+        if key not in known:
+            errors.append(f"unknown key {key!r} at {where}; known: {', '.join(known)}")
+
+
 def _parse_real_vector(node, name: str, n: int, errors: list[str]) -> np.ndarray | None:
     if not isinstance(node, list) or not all(_is_number(v) for v in node):
         errors.append(f"{name} must be a list of finite numbers")
@@ -180,6 +186,7 @@ def _parse_complex(node, name: str, shape: tuple[int, ...], errors: list[str], r
     if not isinstance(node, dict) or "real" not in node:
         errors.append(f'{name} must be an object {{"real": ..., "imag": ...}}')
         return None
+    _unknown_keys(node, ("real", "imag"), name, errors)
     try:
         real = np.asarray(node["real"], dtype=float)
         imag = np.asarray(node.get("imag", np.zeros_like(real)), dtype=float)
@@ -207,6 +214,8 @@ def config_from_dict(data, *, scenario_id: str = "scenario") -> ScenarioConfig:
     errors: list[str] = []
     if not isinstance(data, dict):
         raise ConfigError(["top level must be a JSON object"])
+    _unknown_keys(data, ("schema_version", "id", "n", "metric_params", "hamiltonian", "initial_state",
+                         "integrator", "checks", "seed", "output", "convergence"), "the top level", errors)
 
     if data.get("schema_version") != SCHEMA_VERSION:
         errors.append(f"schema_version must be {SCHEMA_VERSION}, got {data.get('schema_version')!r}")
@@ -226,6 +235,7 @@ def config_from_dict(data, *, scenario_id: str = "scenario") -> ScenarioConfig:
     if not isinstance(node, dict):
         errors.append("metric_params must be an object")
     else:
+        _unknown_keys(node, ("a_coeffs", "b_coeffs"), "metric_params", errors)
         try:
             params = MetricParams(
                 a_coeffs=tuple(node.get("a_coeffs", (0.0,))),
@@ -239,6 +249,8 @@ def config_from_dict(data, *, scenario_id: str = "scenario") -> ScenarioConfig:
     if not isinstance(ham, dict):
         errors.append("hamiltonian must be an object with a kernel")
     else:
+        _unknown_keys(ham, ("kernel", "linear_bra", "linear_ket", "constant", "nonlinear"), "hamiltonian",
+                      errors)
         kernel = _parse_complex(ham.get("kernel"), "hamiltonian.kernel", (n, n), errors, required=True)
         bra = _parse_complex(ham.get("linear_bra"), "hamiltonian.linear_bra", (n,), errors)
         ket = _parse_complex(ham.get("linear_ket"), "hamiltonian.linear_ket", (n,), errors)
@@ -252,6 +264,7 @@ def config_from_dict(data, *, scenario_id: str = "scenario") -> ScenarioConfig:
             if not isinstance(nl, dict) or not isinstance(nl.get("tag"), str):
                 errors.append('hamiltonian.nonlinear must be {"tag": ..., "strength": ...}')
             else:
+                _unknown_keys(nl, ("tag", "strength"), "hamiltonian.nonlinear", errors)
                 tag = nl["tag"]
                 strength = nl.get("strength", 1.0)
                 if tag not in NONLINEAR_TAGS:
@@ -290,6 +303,7 @@ def config_from_dict(data, *, scenario_id: str = "scenario") -> ScenarioConfig:
     if not isinstance(state, dict):
         errors.append("initial_state must be an object")
     else:
+        _unknown_keys(state, ("rho", "pi", "psi"), "initial_state", errors)
         has_real = "rho" in state or "pi" in state
         has_psi = "psi" in state
         if has_real == has_psi:
@@ -328,6 +342,7 @@ def config_from_dict(data, *, scenario_id: str = "scenario") -> ScenarioConfig:
     if not isinstance(integ, dict):
         errors.append("integrator must be an object {h, steps}")
     else:
+        _unknown_keys(integ, ("h", "steps"), "integrator", errors)
         h = integ.get("h")
         if not _is_number(h) or h <= 0:
             errors.append(f"integrator.h must be a positive number, got {h!r}")
@@ -347,6 +362,7 @@ def config_from_dict(data, *, scenario_id: str = "scenario") -> ScenarioConfig:
                 name, expect = entry, True
             elif isinstance(entry, dict) and isinstance(entry.get("name"), str):
                 name = entry["name"]
+                _unknown_keys(entry, ("name", "expect_pass"), f"checks[{name}]", errors)
                 expect = entry.get("expect_pass", True)
                 if not isinstance(expect, bool):
                     errors.append(f"checks[{name}].expect_pass must be a boolean")
@@ -369,6 +385,7 @@ def config_from_dict(data, *, scenario_id: str = "scenario") -> ScenarioConfig:
     if not isinstance(output, dict):
         errors.append("output must be an object")
         output = {}
+    _unknown_keys(output, ("trajectory", "report"), "output", errors)
     trajectory_path = output.get("trajectory", f"{sid}_trajectory.csv")
     report_path = output.get("report", f"{sid}_report.json")
     for label, value in (("output.trajectory", trajectory_path), ("output.report", report_path)):
@@ -382,6 +399,7 @@ def config_from_dict(data, *, scenario_id: str = "scenario") -> ScenarioConfig:
         if not isinstance(conv, dict):
             errors.append("convergence must be an object {h_list, tau}")
         else:
+            _unknown_keys(conv, ("h_list", "tau"), "convergence", errors)
             h_list = conv.get("h_list", list(DEFAULT_CONVERGENCE_H))
             if not isinstance(h_list, list) or not h_list or not all(_is_number(v) and v > 0 for v in h_list):
                 errors.append("convergence.h_list must be a nonempty list of positive numbers")
@@ -500,10 +518,6 @@ def _scenario_points(config: ScenarioConfig) -> list[PhasePoint]:
     return sample_interior_points(config.n, 8, rng=rng)
 
 
-def _single_interior_point(n: int, rng: np.random.Generator) -> PhasePoint:
-    return sample_interior_points(n, 1, rng=rng, include_barycenter=False)[0]
-
-
 @dataclass(frozen=True)
 class Check:
     """A registered check: its seeded stream id and the tolerance of each row
@@ -546,20 +560,6 @@ def _value(residual: float | SimplexFlowError) -> float:
 
 def _max_abs(values) -> float:
     return float(np.max(np.abs(values)))
-
-
-def _complex_structure_at(spec, X, params):
-    # J = [[0, -g^-1], [g, 0]], so J J + 1 = blockdiag(1 - g^-1 g, 1 - g g^-1).
-    # Each product takes one block of J as stored and multiplies it by the
-    # other in O(n^2), so both blocks are read.  The second block is formed
-    # as g g^-1 - 1, whose largest modulus is the same.
-    J = complex_structure(X.rho, params)
-    n = X.n
-    first = _times_metric(J[:n, n:], X.rho, params)
-    second = _times_metric_inverse(J[n:, :n], X.rho, params)
-    first.flat[:: n + 1] += 1.0
-    second.flat[:: n + 1] -= 1.0
-    return max(_max_abs(first), _max_abs(second))
 
 
 def _conservation(config, trajectory, extras):
@@ -610,7 +610,7 @@ def _bracket_commutator(config, trajectory, extras):
 
 def _ab_independence(config, trajectory, extras):
     rng = _check_rng(config, "ab_independence")
-    point = _single_interior_point(config.n, rng)
+    point = PhasePoint(*_interior_draw(config.n, rng))
     drho = rng.standard_normal(config.n)
     drho -= drho.mean()
     dpi = rng.standard_normal(config.n)
@@ -619,7 +619,7 @@ def _ab_independence(config, trajectory, extras):
 
 def _fs_consistency(config, trajectory, extras):
     rng = _check_rng(config, "fs_consistency")
-    point = _single_interior_point(config.n, rng)
+    point = PhasePoint(*_interior_draw(config.n, rng))
     psi = to_complex(point)
     limits = []
     cauchy = 0.0
@@ -670,7 +670,8 @@ CHECKS = {
                         at=lambda spec, X, params: _max_abs(lie_derivative_symplectic(spec, X))),
     "metric": Check(4, {"metric": METRIC_TOL},
                     at=lambda spec, X, params: _max_abs(lie_derivative_metric(spec, X, params=params))),
-    "complex_structure": Check(5, {"complex_structure": COMPLEX_STRUCTURE_TOL}, at=_complex_structure_at),
+    "complex_structure": Check(5, {"complex_structure": COMPLEX_STRUCTURE_TOL},
+                               at=lambda spec, X, params: _complex_structure_defect(X.rho, params)),
     "conservation": Check(6, {"conservation.norm_defect": NORM_DEFECT_TOL,
                               "conservation.energy_defect": ENERGY_DEFECT_TOL}, _conservation),
     "convergence": Check(7, {"convergence.order": CONVERGENCE_ORDER_TOL,

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from simplexflow import (
@@ -12,9 +14,11 @@ from simplexflow import (
     FsRatios,
     HamiltonianSpec,
     MetricParams,
+    NonFiniteError,
     NormalizationError,
     ParamError,
     PhasePoint,
+    SimplexFlowError,
     ab_independence_sweep,
     classify_flow,
     convergence_study,
@@ -31,7 +35,7 @@ from simplexflow import (
 )
 from simplexflow.diagnostics import random_hermitian, sample_interior_points
 from simplexflow.flows import _field_arrays, _field_jacobian
-from simplexflow.geometry import _metric_blocks, _metric_blocks_derivative
+from simplexflow.geometry import _metric_blocks, _metric_blocks_derivative, _metric_parts
 from simplexflow.scenario import CONVERGENCE_EXACT_TOL, CONVERGENCE_ORDER_TOL
 
 from conftest import SIGMA_X, SIGMA_Z, lie_derivative, spec_kinds
@@ -140,7 +144,7 @@ def dense_lie_derivatives(spec, X, params):
     omega = symplectic_matrix(n)
     G = phase_space_metric(X.rho, params)
     v_rho, _ = _field_arrays(spec, X.rho, X.pi)
-    dg, dg_inv = _metric_blocks_derivative(X.rho, v_rho, params, G[n:, n:])
+    dg, dg_inv = _metric_blocks_derivative(X.rho, v_rho, params, _metric_parts(X.rho, params), G[n:, n:])
     metric = jac.T @ G + G @ jac
     metric[:n, :n] += dg
     metric[n:, n:] += dg_inv
@@ -186,8 +190,9 @@ class TestBlockProducts:
         for X in sample_interior_points(n, 3, rng=rng):
             drho = rng.standard_normal(n)
             for params in DEFAULT_PARAM_FAMILIES:
-                _, g_inv = _metric_blocks(X.rho, params)
-                dg, dg_inv = _metric_blocks_derivative(X.rho, drho, params, g_inv)
+                parts = _metric_parts(X.rho, params)
+                _, g_inv = _metric_blocks(parts)
+                dg, dg_inv = _metric_blocks_derivative(X.rho, drho, params, parts, g_inv)
                 dense = -g_inv @ dg @ g_inv
                 if params == CANONICAL_PARAMS:
                     assert np.array_equal(dg_inv, dense)
@@ -331,6 +336,40 @@ class TestFsConsistency:
         assert fs_ratios_per_epsilon(psi, 1e-10 * tangent, np.zeros(2), (1e-2, 1e-10)) == ()
         result = fs_consistency(psi, 1e-10 * tangent, np.zeros(2), (1e-2, 1e-10))
         assert result.gauge_null and result.ratios == ()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_probe_raises_or_reads_what_a_loop_gives(self, data):
+        # Steps past eps = 1 often leave the cone; whatever the loop over the
+        # epsilons raises first, the rows raise too, and otherwise they read
+        # the loop's ratios.  The probes are tangent to rounding, so their
+        # drift stays far below NORM_TOL at every eps drawn.
+        n = data.draw(st.integers(2, 5), label="n")
+        coordinates = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n).map(np.array)
+        weights = data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n).map(np.array))
+        psi = to_complex(PhasePoint(weights / weights.sum(), data.draw(coordinates) + np.pi))
+        drho = data.draw(coordinates, label="drho")
+        drho -= drho.mean()
+        assume(np.ptp(drho) > 1e-3)  # not gauge-null
+        dpi = data.draw(coordinates, label="dpi")
+        epsilons = data.draw(st.lists(st.floats(1e-6, 20.0), min_size=1, max_size=5, unique=True), label="eps")
+        params = data.draw(st.sampled_from(DEFAULT_PARAM_FAMILIES), label="params")
+        try:
+            expected = fs_ratios_per_epsilon(psi, drho, dpi, epsilons, params)
+        except (ValueError, SimplexFlowError) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                fs_consistency(psi, drho, dpi, epsilons, params=params)
+            return
+        result = fs_consistency(psi, drho, dpi, epsilons, params=params)
+        assert_allclose(result.ratios, expected, rtol=1e-12, atol=0)
+
+    def test_overflowing_squared_length_raises(self):
+        # The steps are finite but their squares are not: the largest epsilon
+        # or the base probe itself raises instead of giving nan ratios.
+        psi = to_complex(PhasePoint([0.5, 0.5], [0.0, 0.0]))
+        for dpi, epsilons in (([1e150, 0.0], (1e-3, 1e10)), ([1e300, 0.0], (1e-3,))):
+            with pytest.raises(NonFiniteError):
+                fs_consistency(psi, [1e-3, -1e-3], dpi, epsilons)
 
     def test_oracle_pins_frozen_constant(self):
         # Pre-build oracle for the regression value: brute-force numerator

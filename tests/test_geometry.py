@@ -11,6 +11,7 @@ from simplexflow import (
     BoundaryError,
     DimensionError,
     MetricParams,
+    NonFiniteError,
     NormalizationError,
     ParamError,
     SingularError,
@@ -23,7 +24,7 @@ from simplexflow import (
     symplectic_matrix,
 )
 from simplexflow.diagnostics import DEFAULT_PARAM_FAMILIES, sample_interior_points
-from simplexflow.geometry import _metric_blocks, _times_metric, _times_metric_inverse
+from simplexflow.geometry import _metric_blocks, _metric_parts, _times_metric, _times_metric_inverse
 
 AB_FAMILIES = [
     MetricParams(),
@@ -144,10 +145,11 @@ class TestMetricProducts:
         for X in sample_interior_points(n, 2, rng=rng):
             m = rng.standard_normal((n, n))
             for params in DEFAULT_PARAM_FAMILIES:
-                g, g_inv = _metric_blocks(X.rho, params)
+                parts = _metric_parts(X.rho, params)
+                g, g_inv = _metric_blocks(parts)
                 for product, block in ((_times_metric, g), (_times_metric_inverse, g_inv)):
                     dense = m @ block
-                    fast = product(m, X.rho, params)
+                    fast = product(m, parts)
                     if params == CANONICAL_PARAMS:
                         assert np.array_equal(fast, dense), product.__name__
                     else:
@@ -164,7 +166,7 @@ class TestMetricProducts:
             drho -= drho.mean()
             dpi = rng.standard_normal(n)
             for params in DEFAULT_PARAM_FAMILIES:
-                g, g_inv = _metric_blocks(X.rho, params)
+                g, g_inv = _metric_blocks(_metric_parts(X.rho, params))
                 shifted = dpi - (g_inv @ dpi).sum() / g_inv.sum()
                 for fast, u in ((embedding_length(drho, dpi, X.rho, params), dpi),
                                 (induced_metric_ts(X.rho, drho, dpi, params), shifted)):
@@ -230,6 +232,15 @@ class TestComplexStructure:
 
 
 class TestEmbeddingLength:
+    def test_overflowing_squares_raise(self):
+        # 0 * inf in the rank-one term would give nan, and the ray metric inf.
+        with pytest.raises(NonFiniteError):
+            embedding_length([1e-3, -1e-3], [1e300, 0.0], [0.5, 0.5])
+        with pytest.raises(NonFiniteError):
+            induced_metric_ts([0.5, 0.5], [1e-3, -1e-3], [1e300, 0.0])
+        with pytest.raises(NonFiniteError):
+            embedding_length([1e200, -1e200], [0.0, 0.0], [0.5, 0.5], MetricParams(a_coeffs=(3.0,)))
+
     def test_zero_displacement(self):
         assert embedding_length([0.0, 0.0], [0.0, 0.0], [0.4, 0.6]) == 0.0
 

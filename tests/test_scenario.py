@@ -36,6 +36,7 @@ from simplexflow import (
     write_trajectory_csv,
 )
 import simplexflow.flows as flows
+import simplexflow.geometry as geometry
 import simplexflow.hilbert as hilbert
 import simplexflow.scenario as scenario
 from simplexflow.cli import _run_one, main as cli_main
@@ -112,6 +113,36 @@ class TestValidateConfig:
         with pytest.raises(ConfigError) as excinfo:
             config_from_dict(cfg)
         assert any("frobnicate" in msg for msg in excinfo.value.errors)
+
+    def test_unknown_keys_listed_wherever_they_appear(self):
+        # Each misspelling would otherwise fall back to a default in silence:
+        # no checks, seed 0, a zero imaginary part, expect_pass true.
+        cfg = qubit_config(chekcs=["metric"], seeed=4, checks=[{"name": "metric", "expect_passs": False}],
+                           metric_params={"a_coeff": [1.0]}, output={"trajectroy": "t.csv"},
+                           convergence={"tau": 1.0, "hlist": [1e-3]})
+        cfg["hamiltonian"]["kernel"]["imaginary"] = [[0.0, 0.0], [0.0, 0.0]]
+        cfg["hamiltonian"]["nonlinear"] = {"tag": "none", "strenght": 2.0}
+        cfg["hamiltonian"]["constnat"] = 1.0
+        cfg["initial_state"]["psi"]["imga"] = [0.0, 0.0]
+        cfg["initial_state"]["phase"] = [0.0, 0.0]
+        cfg["integrator"]["stpes"] = 3
+        with pytest.raises(ConfigError) as excinfo:
+            config_from_dict(cfg)
+        assert [msg.split(";")[0] for msg in excinfo.value.errors] == [
+            "unknown key 'chekcs' at the top level",
+            "unknown key 'seeed' at the top level",
+            "unknown key 'a_coeff' at metric_params",
+            "unknown key 'constnat' at hamiltonian",
+            "unknown key 'imaginary' at hamiltonian.kernel",
+            "unknown key 'strenght' at hamiltonian.nonlinear",
+            "unknown key 'phase' at initial_state",
+            "unknown key 'imga' at initial_state.psi",
+            "unknown key 'stpes' at integrator",
+            "unknown key 'expect_passs' at checks[metric]",
+            "unknown key 'trajectroy' at output",
+            "unknown key 'hlist' at convergence",
+        ]
+        assert excinfo.value.errors[-1].endswith("; known: h_list, tau")
 
     def test_unpaired_linear_terms_rejected(self):
         cfg = qubit_config()
@@ -655,6 +686,18 @@ class TestCheckRegistry:
         classify_flow(cfg.hamiltonian, _scenario_points(cfg))
         assert len(calls) == 9
 
+    def test_metric_parts_once_per_owner_per_sample_point(self, monkeypatch, tmp_path):
+        # metric: once in phase_space_metric and once for its three products;
+        # complex_structure: once, for both blocks.
+        calls = []
+        parts = geometry._metric_parts
+        for name, module in list(sys.modules.items()):
+            if name.startswith("simplexflow") and getattr(module, "_metric_parts", None) is parts:
+                monkeypatch.setattr(module, "_metric_parts", lambda *args: calls.append(1) or parts(*args))
+        cfg = config_from_dict(qubit_config(checks=["metric", "complex_structure"]))
+        assert run_scenario(cfg, out_dir=tmp_path).exit_code == 0
+        assert len(calls) == 3 * len(_scenario_points(cfg)) == 27
+
     def test_one_eigendecomposition_per_kernel(self, monkeypatch, tmp_path):
         calls = []
         eigh = np.linalg.eigh
@@ -722,6 +765,12 @@ class TestCli:
         result = CliRunner().invoke(cli_main, ["validate", str(path)])
         assert result.exit_code == 2
         assert result.output.count("invalid:") >= 2
+
+    def test_validate_names_an_unknown_key(self, tmp_path):
+        path = self.write(tmp_path, chekcs=["metric"])
+        result = CliRunner().invoke(cli_main, ["validate", str(path)])
+        assert result.exit_code == 2
+        assert "invalid: unknown key 'chekcs' at the top level" in result.output
 
     def test_run_writes_outputs(self, tmp_path):
         path = self.write(tmp_path)
