@@ -12,11 +12,12 @@ Fubini-Study angle and swept over metric-coefficient families.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NormalizationError, NotHermitianError, ParamError
+from .errors import NonFiniteError, NormalizationError, NotHermitianError, ParamError
 from .flows import (
     HERMITIAN_TOL,
     HamiltonianSpec,
@@ -57,6 +58,10 @@ GAUGE_NULL_TOL, GAUGE_NULL_SCALE = 1e-13, 1e-30
 #: Largest |B(1) - 1| of a family in the independence sweep.
 UNIT_TOL = 1e-12
 
+#: Weight of the barycenter in a sampled rho: every entry is at least
+#: SAMPLE_MARGIN / n.
+SAMPLE_MARGIN = 0.4
+
 #: Endpoint errors at or below this are rounding, left out of the order fit.
 RESOLVED_ERROR_FLOOR = 1e-13
 
@@ -79,7 +84,7 @@ def sample_interior_points(
     *,
     rng: np.random.Generator,
     include_barycenter: bool = True,
-    margin: float = 0.4,
+    margin: float = SAMPLE_MARGIN,
 ) -> list[PhasePoint]:
     """Seeded interior sample points: the barycenter plus ``count`` draws.
 
@@ -95,7 +100,7 @@ def sample_interior_points(
     return points
 
 
-def _interior_draw(n: int, rng: np.random.Generator, margin: float = 0.4) -> tuple[np.ndarray, np.ndarray]:
+def _interior_draw(n: int, rng: np.random.Generator, margin: float = SAMPLE_MARGIN) -> tuple[np.ndarray, np.ndarray]:
     """(rho, pi) of one `sample_interior_points` draw: the Dirichlet draw,
     then the uniform momenta."""
     rho = margin / n + (1.0 - margin) * rng.dirichlet(np.ones(n))
@@ -290,8 +295,9 @@ def convergence_study(spec: HamiltonianSpec, X0: PhasePoint, h_list, tau_total: 
 
     The Hamiltonian must be a pure Hermitian kernel (a constant offset is
     allowed; it does not move the flow), since the oracle is exp(-i K tau).
+    NonFiniteError is raised when a step count tau_total / h overflows.
     """
-    if spec.kernel is None or spec.realness_deviations[0] > HERMITIAN_TOL:
+    if spec.realness_deviations[0] > HERMITIAN_TOL:
         raise NotHermitianError("a Hermitian kernel is required for the unitary oracle")
     if not spec.is_pure_kernel:
         raise ValueError("the unitary oracle applies to pure-kernel Hamiltonians only")
@@ -303,7 +309,10 @@ def convergence_study(spec: HamiltonianSpec, X0: PhasePoint, h_list, tau_total: 
     previous = None
     for h in h_list:
         h = float(h)
-        steps = max(1, int(round(tau_total / h)))
+        ratio = tau_total / h
+        if not math.isfinite(ratio):
+            raise NonFiniteError(f"convergence step count tau / h = {tau_total!r} / {h!r} is not finite")
+        steps = max(1, int(round(ratio)))
         trajectory = integrate_midpoint(spec, X0, h, steps)
         exact = propagate_unitary(K, psi0, steps * h)
         err = float(np.linalg.norm(trajectory.psi[-1] - exact.psi))

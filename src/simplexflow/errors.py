@@ -39,7 +39,7 @@ class ConvergenceError(SimplexFlowError):
 
 
 class NonFiniteError(SimplexFlowError):
-    """A computed step coefficient, state or squared length is inf or nan."""
+    """A computed sample time, step coefficient, state or squared length is inf or nan."""
 
 
 class ConfigError(SimplexFlowError):

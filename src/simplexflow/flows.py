@@ -134,7 +134,7 @@ class HamiltonianSpec:
     which makes it the standard negative control.
     """
 
-    kernel: np.ndarray | None = None
+    kernel: np.ndarray
     linear_bra: np.ndarray | None = None
     linear_ket: np.ndarray | None = None
     constant: float = 0.0
@@ -142,17 +142,12 @@ class HamiltonianSpec:
     nonlinear_strength: float = 1.0
 
     def __post_init__(self):
-        n = None
-        kernel = self.kernel
-        if kernel is not None:
-            kernel = as_square_matrix(kernel, "kernel")
-            n = kernel.shape[0]
-            object.__setattr__(self, "kernel", readonly(kernel, dtype=complex))
+        kernel = as_square_matrix(self.kernel, "kernel")
+        object.__setattr__(self, "kernel", readonly(kernel, dtype=complex))
         for name in ("linear_bra", "linear_ket"):
             vec = getattr(self, name)
             if vec is not None:
-                vec = as_vector(vec, name, n, dtype=complex)
-                n = vec.size
+                vec = as_vector(vec, name, kernel.shape[0], dtype=complex)
                 object.__setattr__(self, name, readonly(vec, dtype=complex))
         if self.nonlinear not in NONLINEAR_TAGS:
             raise ValueError(f"unknown nonlinear tag {self.nonlinear!r}, expected one of {NONLINEAR_TAGS}")
@@ -162,63 +157,56 @@ class HamiltonianSpec:
         object.__setattr__(self, "nonlinear_strength", float(self.nonlinear_strength))
 
     @property
-    def n(self) -> int | None:
-        """Dimension fixed by the arrays, or None for dimension-free specs."""
-        if self.kernel is not None:
-            return self.kernel.shape[0]
-        for vec in (self.linear_bra, self.linear_ket):
-            if vec is not None:
-                return vec.size
-        return None
+    def n(self) -> int:
+        """Dimension, the size of the kernel."""
+        return self.kernel.shape[0]
 
     @property
     def is_pure_kernel(self) -> bool:
         """Whether the spec is a kernel plus at most a constant."""
-        return (self.kernel is not None and self.linear_bra is None and self.linear_ket is None
-                and self.nonlinear == "none")
+        return self.linear_bra is None and self.linear_ket is None and self.nonlinear == "none"
 
     @cached_property
     def realness_deviations(self) -> tuple[float, float]:
         """Largest elementwise |kernel - kernel^H| and |linear_ket - conj(linear_bra)|.
 
-        The value is real at every point when both vanish; a missing term
-        counts as zero.
+        The value is real at every point when both vanish; a missing linear
+        term counts as zero.
         """
         bra = 0.0 if self.linear_bra is None else self.linear_bra
         ket = 0.0 if self.linear_ket is None else self.linear_ket
-        kernel_deviation = 0.0 if self.kernel is None else _hermitian_deviation(self.kernel)
-        return kernel_deviation, float(np.max(np.abs(ket - np.conj(bra))))
+        return _hermitian_deviation(self.kernel), float(np.max(np.abs(ket - np.conj(bra))))
 
     def is_valid_real(self) -> bool:
         """Whether the value is real for every point, within HERMITIAN_TOL."""
         return max(self.realness_deviations) <= HERMITIAN_TOL
 
     @cached_property
-    def psi_form(self) -> tuple[np.ndarray | None, np.ndarray | float, float]:
+    def psi_form(self) -> tuple[np.ndarray, np.ndarray, float]:
         """(K, b, s) with dH/dconj(psi) = K psi + b + s |psi|^2 psi for the real part H.
 
-        K = (kernel + kernel^H)/2 is the Hermitian part of the kernel (the
-        kernel itself when it is exactly Hermitian; None without one),
-        b = linear_bra/2 + conj(linear_ket)/2 (0 without linear terms) and
-        s = 2 nonlinear_strength for either catalog tag (0 without one).
+        K = (kernel + kernel^H)/2 is the n x n Hermitian part of the kernel
+        (the kernel itself when it is exactly Hermitian), b = linear_bra/2 +
+        conj(linear_ket)/2 is an n-vector, a missing linear term counting as
+        zero, and s = 2 nonlinear_strength for either catalog tag (0 without one).
         """
         K = self.kernel
-        if K is not None and self.realness_deviations[0]:
+        if self.realness_deviations[0]:
             K = readonly(0.5 * (K + K.conj().T), dtype=complex)
-        b = 0.0
+        b = np.zeros(self.n, dtype=complex)
         if self.linear_bra is not None:
             b = b + 0.5 * self.linear_bra
         if self.linear_ket is not None:
             b = b + 0.5 * np.conj(self.linear_ket)
+        b.setflags(write=False)
         s = 0.0 if self.nonlinear == "none" else 2.0 * self.nonlinear_strength
         return K, b, s
 
     @cached_property
-    def hermitian_part(self) -> HermitianOperator | None:
-        """K of the psi-form as a HermitianOperator (None without a kernel),
-        built once, so every user of the spec shares one eigendecomposition."""
-        K = self.psi_form[0]
-        return None if K is None else HermitianOperator(K)
+    def hermitian_part(self) -> HermitianOperator:
+        """K of the psi-form as a HermitianOperator, built once, so every
+        user of the spec shares one eigendecomposition."""
+        return HermitianOperator(self.psi_form[0])
 
     def _jacobian_at(self, X: PhasePoint) -> np.ndarray:
         """Read-only field Jacobian at X.  The spec keeps the one of its latest
@@ -341,16 +329,14 @@ def _weights(psi: np.ndarray) -> np.ndarray:
 
 
 def _check_dim(spec: HamiltonianSpec, n: int) -> None:
-    if spec.n is not None and spec.n != n:
+    if spec.n != n:
         raise DimensionError(f"spec has dimension {spec.n} but the point has dimension {n}")
 
 
 def _values(spec: HamiltonianSpec, psi: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Complex values of the Hamiltonian at the states along the last axis of
     ``psi``, with ``rho`` the matching weights."""
-    value = np.full(psi.shape[:-1], complex(spec.constant))
-    if spec.kernel is not None:
-        value += np.sum(np.conj(psi) * (psi @ spec.kernel.T), axis=-1)
+    value = spec.constant + np.sum(np.conj(psi) * (psi @ spec.kernel.T), axis=-1)
     if spec.linear_bra is not None:
         value += np.conj(psi) @ spec.linear_bra
     if spec.linear_ket is not None:
@@ -376,7 +362,7 @@ def _grad_arrays(spec: HamiltonianSpec, rho: np.ndarray, pi: np.ndarray):
     _check_dim(spec, rho.size)
     K, b, s = spec.psi_form
     psi = _psi_from(rho, pi)
-    return _chart_gradient(psi, rho, b if K is None else K @ psi + b, s)
+    return _chart_gradient(psi, rho, K @ psi + b, s)
 
 
 def _chart_gradient(psi: np.ndarray, rho: np.ndarray, f, s: float):
@@ -411,7 +397,7 @@ def _field_jacobian(spec: HamiltonianSpec, rho: np.ndarray, pi: np.ndarray) -> n
     n = rho.size
     psi = _psi_from(rho, pi)
     diag = np.diag_indices(n)
-    m = np.zeros((n, n), dtype=complex) if K is None else np.conj(psi)[:, None] * K * psi
+    m = np.conj(psi)[:, None] * K * psi
     p = m.sum(axis=1) + np.conj(psi) * b
     q_rho = m * (0.5 / rho)
     q_rho[diag] += p * (0.5 / rho) + 2.0 * s * rho
@@ -519,8 +505,9 @@ def integrate_midpoint(
     4 K_-1 - 6 K_-2 + 4 K_-3 - K_-4 of the last four converged kicks, which
     usually leaves one sweep per step.  ConvergenceError is raised when an
     update is still above ``tol`` after ``max_iter`` sweeps, or at the first
-    sweep whose update is not finite.  NonFiniteError is raised when the step
-    coefficients, or the state or its defects at some step, overflow.
+    sweep whose update is not finite.  NonFiniteError is raised when the last
+    sample time steps * h, the step coefficients, or the state or its defects
+    at some step, overflow.
     rho_i = 0 is a regular point of the chart, so a flow passes through the
     simplex boundary.  Records the normalization defect |sum(rho) - 1| and
     the energy defect |H(X_k) - H(X_0)| at every sample, and the sweeps of
@@ -533,11 +520,12 @@ def integrate_midpoint(
     max_iter = _count("max_iter", max_iter)
     if not math.isfinite(tol) or tol < 0.0:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    if not math.isfinite(steps * h):
+        raise NonFiniteError(f"midpoint sample times are not finite: {steps} steps of h = {h!r}")
     n = X0.n
     _check_dim(spec, n)
     _, b, s = spec.psi_form
-    K = spec.hermitian_part  # without a kernel: w = 0 in the standard basis
-    w, V = (np.zeros(n), np.eye(n, dtype=complex)) if K is None else K.eigh
+    w, V = spec.hermitian_part.eigh
     # Overflow is caught below, as NonFiniteError or ConvergenceError.
     with np.errstate(over="ignore", invalid="ignore"):
         # In the eigenbasis of K, phi = V^H psi, M and B are the diagonals
@@ -548,7 +536,7 @@ def integrate_midpoint(
         rotation = (1.0 - 0.5j * h * w) / denom
         gain = -1j * h / denom
         V_h = V.conj().T
-        shift = gain * (V_h @ np.broadcast_to(b, n))
+        shift = gain * (V_h @ b)
         cubic_gain = s * gain
         if not np.isfinite(np.concatenate([rotation, gain, shift, cubic_gain])).all():
             raise NonFiniteError(f"midpoint step coefficients are not finite at h = {h!r}")

@@ -273,17 +273,19 @@ def config_from_dict(data, *, scenario_id: str = "scenario") -> ScenarioConfig:
                 if not _is_number(strength):
                     errors.append("hamiltonian.nonlinear.strength must be a finite number")
                     strength = 1.0
-        try:
-            spec = HamiltonianSpec(
-                kernel=kernel,
-                linear_bra=bra,
-                linear_ket=ket,
-                constant=float(constant),
-                nonlinear=tag,
-                nonlinear_strength=float(strength),
-            )
-        except (ValueError, SimplexFlowError) as exc:
-            errors.append(f"hamiltonian: {exc}")
+        # A missing or malformed kernel is reported above; there is no spec.
+        if kernel is not None:
+            try:
+                spec = HamiltonianSpec(
+                    kernel=kernel,
+                    linear_bra=bra,
+                    linear_ket=ket,
+                    constant=float(constant),
+                    nonlinear=tag,
+                    nonlinear_strength=float(strength),
+                )
+            except (ValueError, SimplexFlowError) as exc:
+                errors.append(f"hamiltonian: {exc}")
         # The deviations are the ones HamiltonianSpec.is_valid_real compares,
         # reported per field.
         kernel_deviation, linear_deviation = (0.0, 0.0) if spec is None else spec.realness_deviations
@@ -373,6 +375,9 @@ def config_from_dict(data, *, scenario_id: str = "scenario") -> ScenarioConfig:
             if name not in CHECKS:
                 errors.append(f"unknown check {name!r}; known: {sorted(CHECKS)}")
                 continue
+            if name == "convergence" and spec is not None and not spec.is_pure_kernel:
+                errors.append("check 'convergence' needs a pure-kernel hamiltonian (no linear or nonlinear "
+                              "terms): its oracle is the unitary propagator exp(-i K tau)")
             checks.append(CheckRequest(name, expect))
 
     try:

@@ -106,6 +106,21 @@ class TestHamiltonianSpec:
         with pytest.raises(DimensionError):
             HamiltonianSpec(kernel=np.eye(2), linear_bra=[1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("tag", ["sum_rho_squared", "quartic_psi"])
+    def test_spec_without_a_kernel_is_refused(self, tag):
+        with pytest.raises(TypeError):
+            HamiltonianSpec(nonlinear=tag, nonlinear_strength=0.7)
+        with pytest.raises(TypeError):
+            HamiltonianSpec(linear_bra=[1.0, 1j], linear_ket=[1.0, -1j], nonlinear=tag)
+        with pytest.raises(DimensionError):
+            HamiltonianSpec(kernel=None, nonlinear=tag, nonlinear_strength=0.7)
+        # A flow with no kernel term is written with a zero kernel.
+        zero = HamiltonianSpec(kernel=np.zeros((3, 3)), nonlinear=tag, nonlinear_strength=0.7)
+        K, b, s = zero.psi_form
+        assert type(zero.n) is int and zero.n == 3
+        assert K.shape == (3, 3) and b.shape == (3,) and not b.any() and s == 1.4
+        assert zero.hermitian_part.n == 3
+
     def test_normalization_factory(self):
         spec = HamiltonianSpec.normalization(3)
         X = PhasePoint([0.2, 0.3, 0.5], [0.4, 1.0, 2.0])
@@ -171,8 +186,8 @@ class TestVectorField:
 
     def test_gradient_against_finite_differences(self, rng):
         # Every spec kind, a kernel with a 1e-3 anti-Hermitian part (whose
-        # gradient is that of the real part of the value), and a
-        # dimension-free spec.
+        # gradient is that of the real part of the value), and a nonlinear
+        # term on a zero kernel.
         for n in (2, 3, 8):
             bra = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             anti = random_hermitian(n, rng)
@@ -181,7 +196,8 @@ class TestVectorField:
                                               linear_ket=np.conj(bra), nonlinear="sum_rho_squared",
                                               nonlinear_strength=0.4)),
                 ("anti_hermitian", HamiltonianSpec(kernel=random_hermitian(n, rng) + 1e-3j * anti)),
-                ("dimension_free", HamiltonianSpec(nonlinear="sum_rho_squared", nonlinear_strength=0.7)),
+                ("nonlinear_only", HamiltonianSpec(kernel=np.zeros((n, n)), nonlinear="sum_rho_squared",
+                                                   nonlinear_strength=0.7)),
             ]
             for point in sample_interior_points(n, 3, rng=rng):
                 for label, spec in specs:
@@ -221,9 +237,10 @@ def fd_field_jacobian(spec, X, rel_step=1e-6):
 class TestFieldJacobian:
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_matches_central_differences(self, n, rng):
-        dimension_free = ("dimension_free", HamiltonianSpec(nonlinear="quartic_psi", nonlinear_strength=0.7))
+        nonlinear_only = ("nonlinear_only", HamiltonianSpec(kernel=np.zeros((n, n)), nonlinear="quartic_psi",
+                                                             nonlinear_strength=0.7))
         for point in sample_interior_points(n, 2, rng=rng):
-            for label, spec in spec_kinds(n, rng) + [dimension_free]:
+            for label, spec in spec_kinds(n, rng) + [nonlinear_only]:
                 exact = _field_jacobian(spec, point.rho, point.pi)
                 oracle = fd_field_jacobian(spec, point)
                 error = np.max(np.abs(exact - oracle)) / np.max(np.abs(oracle))
@@ -423,7 +440,7 @@ class TestIntegrateMidpoint:
             denom = 1.0 + 0.5j * h * w
             rotation = (1.0 - 0.5j * h * w) / denom
             V_h = V.conj().T
-            shift = (-1j * h / denom) * (V_h @ np.broadcast_to(spec.psi_form[1], 3))
+            shift = (-1j * h / denom) * (V_h @ spec.psi_form[1])
             phi = np.empty((steps + 1, 3), dtype=complex)
             phi[0] = V_h @ traj.psi[0]
             for k in range(steps):
@@ -431,17 +448,6 @@ class TestIntegrateMidpoint:
             assert np.array_equal(traj.psi[1:], (phi @ V.T)[1:]), label
             assert not traj.sweeps.any(), label
 
-    @pytest.mark.parametrize("tag", ["sum_rho_squared", "quartic_psi"])
-    def test_kernel_less_spec_steps_as_an_explicit_zero_kernel(self, tag, rng):
-        # Without a kernel the step takes w = 0 and the standard basis, which
-        # eigh gives for a zero kernel: the trajectories agree bit for bit.
-        X0 = sample_interior_points(3, 1, rng=rng, include_barycenter=False)[0]
-        bare = HamiltonianSpec(nonlinear=tag, nonlinear_strength=0.7)
-        zero = HamiltonianSpec(kernel=np.zeros((3, 3)), nonlinear=tag, nonlinear_strength=0.7)
-        assert bare.hermitian_part is None and zero.hermitian_part is not None
-        traj_bare, traj_zero = (integrate_midpoint(spec, X0, 1e-2, 50) for spec in (bare, zero))
-        for field in ("parameter_values", "psi", "pi", "norm_defects", "energy_defects", "sweeps"):
-            assert np.array_equal(getattr(traj_bare, field), getattr(traj_zero, field)), field
 
     def test_extrapolated_start_leaves_one_sweep_per_step(self):
         rng = np.random.default_rng(8)

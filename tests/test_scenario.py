@@ -40,7 +40,7 @@ import simplexflow.geometry as geometry
 import simplexflow.hilbert as hilbert
 import simplexflow.scenario as scenario
 from simplexflow.cli import _run_one, main as cli_main
-from simplexflow.diagnostics import random_hermitian, sample_interior_points
+from simplexflow.diagnostics import SAMPLE_MARGIN, random_hermitian, sample_interior_points
 from simplexflow.scenario import CHECKS, _scenario_points
 
 from conftest import spec_kinds
@@ -557,6 +557,11 @@ class TestCheckRegistry:
             tolerances = set(CHECKS[name.strip().strip("`")].tolerances.values())
             assert tolerances <= quoted, (name, cell)
 
+    def test_readme_quotes_the_block_and_margin_constants(self):
+        text = README.read_text(encoding="utf-8")
+        assert f"`BRACKET_BLOCK_VALUES` = {scenario.BRACKET_BLOCK_VALUES} state entries" in text
+        assert f"`SAMPLE_MARGIN` = {SAMPLE_MARGIN}," in text
+
     def test_readme_example_rows_are_unchanged(self, tmp_path):
         example = readme_example()
         example["checks"] = list(CHECKS)
@@ -812,6 +817,36 @@ class TestCli:
         assert report["error"]["type"] == "NonFiniteError"
         assert report["exit_ok"] is False and report["checks"] == []
         assert not (out / "overflow_trajectory.csv").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("terms", [
+        {"nonlinear": {"tag": "quartic_psi", "strength": 1.0}},
+        {"linear_bra": {"real": [0.5, 0.0]}, "linear_ket": {"real": [0.5, 0.0]}},
+    ], ids=["nonlinear", "linear"])
+    def test_convergence_on_a_spec_with_more_than_a_kernel_is_a_config_error(self, command, terms, tmp_path):
+        path = self.write(tmp_path, checks=["realness", "convergence"],
+                          hamiltonian={"kernel": {"real": [[0.0, 1.0], [1.0, 0.0]]}, **terms})
+        out = tmp_path / "out"
+        result = CliRunner().invoke(cli_main, [command, str(path)] + (["--out", str(out)] if command == "run" else []))
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "check 'convergence' needs a pure-kernel hamiltonian" in result.output
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("overrides, check", [
+        ({"integrator": {"h": 1e308, "steps": 3}}, None),
+        ({"checks": ["convergence"], "convergence": {"h_list": [1e-300, 2e-300], "tau": 1e300}}, "convergence"),
+    ], ids=["sample_times", "convergence_steps"])
+    def test_run_overflowing_times_exits_2_with_an_error_record(self, overrides, check, tmp_path):
+        path = self.write(tmp_path, **overrides)
+        out = tmp_path / "out"
+        result = CliRunner().invoke(cli_main, ["run", str(path), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "error [NonFiniteError]" in result.output
+        error = json.loads((out / "qubit_report.json").read_text())["error"]
+        assert error["type"] == "NonFiniteError" and error.get("check") == check
 
     def test_batch_runs_the_files_after_an_overflowing_flow(self, tmp_path):
         scenarios = tmp_path / "scenarios"
