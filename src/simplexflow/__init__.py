@@ -34,6 +34,7 @@ from .errors import (
 )
 from .flows import (
     HamiltonianSpec,
+    HermitianOperator,
     PhasePoint,
     Trajectory,
     bracket_from_gradients,
@@ -60,7 +61,6 @@ from .geometry import (
 )
 from .hilbert import (
     ComplexState,
-    HermitianOperator,
     commutator_identity_check,
     from_complex,
     inner_product,

@@ -301,7 +301,6 @@ def convergence_study(spec: HamiltonianSpec, X0: PhasePoint, h_list, tau_total: 
         raise NotHermitianError("a Hermitian kernel is required for the unitary oracle")
     if not spec.is_pure_kernel:
         raise ValueError("the unitary oracle applies to pure-kernel Hamiltonians only")
-    K = spec.hermitian_part
     psi0 = to_complex(X0)
     rows: list[dict] = []
     errors: list[float] = []
@@ -314,7 +313,7 @@ def convergence_study(spec: HamiltonianSpec, X0: PhasePoint, h_list, tau_total: 
             raise NonFiniteError(f"convergence step count tau / h = {tau_total!r} / {h!r} is not finite")
         steps = max(1, int(round(ratio)))
         trajectory = integrate_midpoint(spec, X0, h, steps)
-        exact = propagate_unitary(K, psi0, steps * h)
+        exact = propagate_unitary(spec, psi0, steps * h)
         err = float(np.linalg.norm(trajectory.psi[-1] - exact.psi))
         row = {"h": h, "steps": steps, "endpoint_error": err}
         if previous is not None and err > 0.0:

@@ -131,12 +131,13 @@ class HamiltonianSpec:
     function: ``sum_rho_squared`` evaluates strength * sum(rho_i^2) from the
     real coordinates while ``quartic_psi`` evaluates strength * sum(|psi_i|^4)
     through the chart.  Either one is Hamiltonian but not metric preserving,
-    which makes it the standard negative control.
+    which makes it the standard negative control.  The linear terms are
+    read-only n-vectors, zeros when omitted.
     """
 
     kernel: np.ndarray
-    linear_bra: np.ndarray | None = None
-    linear_ket: np.ndarray | None = None
+    linear_bra: np.ndarray = None
+    linear_ket: np.ndarray = None
     constant: float = 0.0
     nonlinear: str = "none"
     nonlinear_strength: float = 1.0
@@ -144,11 +145,11 @@ class HamiltonianSpec:
     def __post_init__(self):
         kernel = as_square_matrix(self.kernel, "kernel")
         object.__setattr__(self, "kernel", readonly(kernel, dtype=complex))
+        n = kernel.shape[0]
         for name in ("linear_bra", "linear_ket"):
             vec = getattr(self, name)
-            if vec is not None:
-                vec = as_vector(vec, name, kernel.shape[0], dtype=complex)
-                object.__setattr__(self, name, readonly(vec, dtype=complex))
+            vec = np.zeros(n) if vec is None else as_vector(vec, name, n, dtype=complex)
+            object.__setattr__(self, name, readonly(vec, dtype=complex))
         if self.nonlinear not in NONLINEAR_TAGS:
             raise ValueError(f"unknown nonlinear tag {self.nonlinear!r}, expected one of {NONLINEAR_TAGS}")
         if not np.isfinite(self.constant) or not np.isfinite(self.nonlinear_strength):
@@ -163,19 +164,18 @@ class HamiltonianSpec:
 
     @property
     def is_pure_kernel(self) -> bool:
-        """Whether the spec is a kernel plus at most a constant."""
-        return self.linear_bra is None and self.linear_ket is None and self.nonlinear == "none"
+        """Whether the flow is exp(-i K tau): both linear terms and s are zero,
+        so the spec is a kernel plus at most a constant."""
+        return not (self.linear_bra.any() or self.linear_ket.any() or self.psi_form[2])
 
     @cached_property
     def realness_deviations(self) -> tuple[float, float]:
         """Largest elementwise |kernel - kernel^H| and |linear_ket - conj(linear_bra)|.
 
-        The value is real at every point when both vanish; a missing linear
-        term counts as zero.
+        The value is real at every point when both vanish.
         """
-        bra = 0.0 if self.linear_bra is None else self.linear_bra
-        ket = 0.0 if self.linear_ket is None else self.linear_ket
-        return _hermitian_deviation(self.kernel), float(np.max(np.abs(ket - np.conj(bra))))
+        return (_hermitian_deviation(self.kernel),
+                float(np.max(np.abs(self.linear_ket - np.conj(self.linear_bra)))))
 
     def is_valid_real(self) -> bool:
         """Whether the value is real for every point, within HERMITIAN_TOL."""
@@ -187,26 +187,23 @@ class HamiltonianSpec:
 
         K = (kernel + kernel^H)/2 is the n x n Hermitian part of the kernel
         (the kernel itself when it is exactly Hermitian), b = linear_bra/2 +
-        conj(linear_ket)/2 is an n-vector, a missing linear term counting as
-        zero, and s = 2 nonlinear_strength for either catalog tag (0 without one).
+        conj(linear_ket)/2 is an n-vector, and s = 2 nonlinear_strength for
+        either catalog tag (0 without one).
         """
         K = self.kernel
         if self.realness_deviations[0]:
             K = readonly(0.5 * (K + K.conj().T), dtype=complex)
-        b = np.zeros(self.n, dtype=complex)
-        if self.linear_bra is not None:
-            b = b + 0.5 * self.linear_bra
-        if self.linear_ket is not None:
-            b = b + 0.5 * np.conj(self.linear_ket)
-        b.setflags(write=False)
+        b = readonly(0.5 * self.linear_bra + 0.5 * np.conj(self.linear_ket), dtype=complex)
         s = 0.0 if self.nonlinear == "none" else 2.0 * self.nonlinear_strength
         return K, b, s
 
     @cached_property
-    def hermitian_part(self) -> HermitianOperator:
-        """K of the psi-form as a HermitianOperator, built once, so every
-        user of the spec shares one eigendecomposition."""
-        return HermitianOperator(self.psi_form[0])
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues w and unitary eigenvectors V with K = V diag(w) V^H for
+        the K of the psi-form, computed once per spec, so the integrator and
+        the unitary propagator share one decomposition."""
+        w, V = np.linalg.eigh(self.psi_form[0])
+        return readonly(w), readonly(V, dtype=complex)
 
     def _jacobian_at(self, X: PhasePoint) -> np.ndarray:
         """Read-only field Jacobian at X.  The spec keeps the one of its latest
@@ -234,29 +231,19 @@ class HamiltonianSpec:
         return cls(kernel=-np.eye(n, dtype=complex), constant=1.0)
 
 
-@dataclass(frozen=True)
-class HermitianOperator:
-    """A complex square matrix equal to its conjugate transpose."""
-
-    matrix: np.ndarray
+class HermitianOperator(HamiltonianSpec):
+    """The pure-kernel spec of a Hermitian matrix, built as
+    HermitianOperator(matrix); its flow is exp(-i matrix tau).
+    NotHermitianError for a matrix that is not Hermitian within
+    HERMITIAN_TOL, ValueError for a nonzero linear term or nonlinear strength."""
 
     def __post_init__(self):
-        m = as_square_matrix(self.matrix, "matrix")
-        deviation = _hermitian_deviation(m)
+        super().__post_init__()
+        deviation = self.realness_deviations[0]
         if deviation > HERMITIAN_TOL:
             raise NotHermitianError(f"matrix deviates from Hermitian by {deviation:.3e}")
-        object.__setattr__(self, "matrix", readonly(m, dtype=complex))
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    @cached_property
-    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues w and unitary eigenvectors V with matrix = V diag(w) V^H,
-        computed once per operator."""
-        w, V = np.linalg.eigh(self.matrix)
-        return readonly(w), readonly(V, dtype=complex)
+        if not self.is_pure_kernel:
+            raise ValueError("a HermitianOperator has no linear or nonlinear terms")
 
 
 @dataclass(frozen=True)
@@ -337,10 +324,8 @@ def _values(spec: HamiltonianSpec, psi: np.ndarray, rho: np.ndarray) -> np.ndarr
     """Complex values of the Hamiltonian at the states along the last axis of
     ``psi``, with ``rho`` the matching weights."""
     value = spec.constant + np.sum(np.conj(psi) * (psi @ spec.kernel.T), axis=-1)
-    if spec.linear_bra is not None:
-        value += np.conj(psi) @ spec.linear_bra
-    if spec.linear_ket is not None:
-        value += psi @ spec.linear_ket
+    value += np.conj(psi) @ spec.linear_bra
+    value += psi @ spec.linear_ket
     if spec.nonlinear == "sum_rho_squared":
         value += spec.nonlinear_strength * np.sum(rho * rho, axis=-1)
     elif spec.nonlinear == "quartic_psi":
@@ -497,7 +482,7 @@ def integrate_midpoint(
     psi1 = psi0 + h f((psi0 + psi1)/2) then reads
     psi1 = M psi0 + c + B g((psi0 + psi1)/2) with the Cayley map
     M = (I + i h K/2)^-1 (I - i h K/2), B = -i h (I + i h K/2)^-1 and c = B b,
-    formed from the eigendecomposition of K (``spec.hermitian_part``), which
+    formed from the eigendecomposition of K (``spec.eigh``), which
     keeps M unitary to rounding.  Without a nonlinear term the step is that
     affine map.  With one, the kick B g(...) is solved by fixed-point
     iteration.  The first four steps start it from the explicit predictor,
@@ -525,7 +510,7 @@ def integrate_midpoint(
     n = X0.n
     _check_dim(spec, n)
     _, b, s = spec.psi_form
-    w, V = spec.hermitian_part.eigh
+    w, V = spec.eigh
     # Overflow is caught below, as NonFiniteError or ConvergenceError.
     with np.errstate(over="ignore", invalid="ignore"):
         # In the eigenbasis of K, phi = V^H psi, M and B are the diagonals

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DimensionError
 from .flows import (
     PHASE_FLOOR,
-    HermitianOperator,
+    HamiltonianSpec,
     PhasePoint,
     _chart_gradient,
     _psi_from,
@@ -86,12 +86,14 @@ def inner_product(psi: ComplexState, phi: ComplexState) -> complex:
     return complex(np.vdot(psi.psi, phi.psi))
 
 
-def propagate_unitary(K: HermitianOperator, psi0: ComplexState, tau: float) -> ComplexState:
-    """exp(-i K tau) psi0 via the Hermitian eigendecomposition of K.
+def propagate_unitary(K: HamiltonianSpec, psi0: ComplexState, tau: float) -> ComplexState:
+    """exp(-i K tau) psi0 for the psi-form K of a real-valued spec (else
+    NotRealError), via ``K.eigh``; linear and nonlinear terms are not read.
 
     Norm preserving and compositional: U(a) U(b) = U(a + b).  The
-    decomposition is cached on K, so repeated calls with one operator share it.
+    decomposition is cached on the spec, so its calls and its integrator share it.
     """
+    K.require_valid_real()
     if K.n != psi0.n:
         raise DimensionError(f"operator dimension {K.n} does not match state dimension {psi0.n}")
     w, V = K.eigh

@@ -96,6 +96,12 @@ CSV_CHUNK_VALUES = 4096
 #: where n > 2048.
 BRACKET_BLOCK_VALUES = 2048
 
+#: Largest (steps + 1) x n state entries that one integration may hold, for
+#: `integrator.steps` and each `convergence` rung.  At 16 bytes per complex
+#: entry, each complex (steps + 1) x n array of the integration takes at most
+#: 512 MiB, and it holds a few; the largest benchmark run has 64,128 entries.
+MAX_TRAJECTORY_ENTRIES = 2**25
+
 DEFAULT_CONVERGENCE_H = (4e-3, 2e-3, 1e-3, 5e-4)
 DEFAULT_CONVERGENCE_TAU = 1.0
 
@@ -340,6 +346,7 @@ def config_from_dict(data, *, scenario_id: str = "scenario") -> ScenarioConfig:
         initial = PhasePoint(initial.rho / initial.rho_total, initial.pi)
 
     h, steps = None, None
+    max_steps = MAX_TRAJECTORY_ENTRIES // n - 1
     integ = data.get("integrator")
     if not isinstance(integ, dict):
         errors.append("integrator must be an object {h, steps}")
@@ -352,6 +359,10 @@ def config_from_dict(data, *, scenario_id: str = "scenario") -> ScenarioConfig:
         steps = integ.get("steps")
         if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
             errors.append(f"integrator.steps must be an integer >= 1, got {steps!r}")
+            steps = None
+        elif steps > max_steps:
+            errors.append(f"integrator.steps must be at most MAX_TRAJECTORY_ENTRIES / n - 1 = {max_steps} "
+                          f"at n = {n}, got {steps!r}")
             steps = None
 
     checks: list[CheckRequest] = []
@@ -376,8 +387,8 @@ def config_from_dict(data, *, scenario_id: str = "scenario") -> ScenarioConfig:
                 errors.append(f"unknown check {name!r}; known: {sorted(CHECKS)}")
                 continue
             if name == "convergence" and spec is not None and not spec.is_pure_kernel:
-                errors.append("check 'convergence' needs a pure-kernel hamiltonian (no linear or nonlinear "
-                              "terms): its oracle is the unitary propagator exp(-i K tau)")
+                errors.append("check 'convergence' needs a pure-kernel hamiltonian (zero linear terms and "
+                              "nonlinear strength): its oracle is the unitary propagator exp(-i K tau)")
             checks.append(CheckRequest(name, expect))
 
     try:
@@ -406,8 +417,11 @@ def config_from_dict(data, *, scenario_id: str = "scenario") -> ScenarioConfig:
         else:
             _unknown_keys(conv, ("h_list", "tau"), "convergence", errors)
             h_list = conv.get("h_list", list(DEFAULT_CONVERGENCE_H))
-            if not isinstance(h_list, list) or not h_list or not all(_is_number(v) and v > 0 for v in h_list):
-                errors.append("convergence.h_list must be a nonempty list of positive numbers")
+            # One step size gives no order to fit, and its error is no exact branch.
+            if (not isinstance(h_list, list) or not all(_is_number(v) and v > 0 for v in h_list)
+                    or len(set(h_list)) < 2):
+                errors.append("convergence.h_list must be a list of positive numbers with at least two "
+                              "distinct values")
             else:
                 conv_h = tuple(float(v) for v in h_list)
             tau = conv.get("tau", DEFAULT_CONVERGENCE_TAU)
@@ -415,6 +429,12 @@ def config_from_dict(data, *, scenario_id: str = "scenario") -> ScenarioConfig:
                 errors.append("convergence.tau must be a positive number")
             else:
                 conv_tau = float(tau)
+    if any(c.name == "convergence" for c in checks):
+        # A step count that is not finite is left to the run's NonFiniteError.
+        rung = max((conv_tau / h for h in conv_h if math.isfinite(conv_tau / h)), default=0.0)
+        if round(rung) > max_steps:
+            errors.append(f"convergence.h_list needs tau / h = {rung:.3g} steps, more than "
+                          f"MAX_TRAJECTORY_ENTRIES / n - 1 = {max_steps} at n = {n}")
 
     if errors:
         raise ConfigError(errors)
@@ -426,8 +446,9 @@ def config_from_dict(data, *, scenario_id: str = "scenario") -> ScenarioConfig:
         "metric_params": {"a_coeffs": list(params.a_coeffs), "b_coeffs": list(params.b_coeffs)},
         "hamiltonian": {
             "kernel": spec.kernel,
-            "linear_bra": spec.linear_bra,
-            "linear_ket": spec.linear_ket,
+            # An omitted linear term is hashed as None, not as the spec's zeros.
+            "linear_bra": bra,
+            "linear_ket": ket,
             "constant": spec.constant,
             "nonlinear": {"tag": spec.nonlinear, "strength": spec.nonlinear_strength},
         },
@@ -647,18 +668,18 @@ def _fs_consistency(config, trajectory, extras):
 
 def _gauge_born(config, trajectory, extras):
     rng = _check_rng(config, "gauge_born")
-    K = config.hamiltonian.hermitian_part
+    spec = config.hamiltonian
     psi0 = to_complex(config.initial)
     taus = rng.uniform(0.1, 2.0, 4)
     nus = rng.uniform(0.0, 2.0 * np.pi, 3)
     equivariance = born = norm = 0.0
     for tau in taus:
-        evolved = propagate_unitary(K, psi0, tau)
+        evolved = propagate_unitary(spec, psi0, tau)
         point, _ = from_complex(evolved)
         born = max(born, _max_abs(point.rho - np.abs(evolved.psi) ** 2))
         norm = max(norm, abs(evolved.rho_total - psi0.rho_total))
         for nu in nus:
-            shifted = propagate_unitary(K, ComplexState(np.exp(1j * nu) * psi0.psi), tau)
+            shifted = propagate_unitary(spec, ComplexState(np.exp(1j * nu) * psi0.psi), tau)
             equivariance = max(equivariance, _max_abs(shifted.psi - np.exp(1j * nu) * evolved.psi))
     return {"gauge_born.equivariance": equivariance, "gauge_born.born_rule": born,
             "gauge_born.norm_conservation": norm}

@@ -13,6 +13,7 @@ from simplexflow import (
     HermitianOperator,
     NonFiniteError,
     NormalizationError,
+    NotHermitianError,
     NotRealError,
     PhasePoint,
     Trajectory,
@@ -119,7 +120,22 @@ class TestHamiltonianSpec:
         K, b, s = zero.psi_form
         assert type(zero.n) is int and zero.n == 3
         assert K.shape == (3, 3) and b.shape == (3,) and not b.any() and s == 1.4
-        assert zero.hermitian_part.n == 3
+        assert zero.eigh[1].shape == (3, 3) and zero.linear_bra.shape == zero.linear_ket.shape == (3,)
+
+    def test_hermitian_operator_is_the_pure_kernel_spec_of_its_matrix(self, rng):
+        m = random_hermitian(3, rng)
+        op = HermitianOperator(m)
+        assert isinstance(op, HamiltonianSpec) and op.is_pure_kernel
+        assert not {"eigh", "n", "matrix"} & set(vars(HermitianOperator))
+        X0 = sample_interior_points(3, 1, rng=rng, include_barycenter=False)[0]
+        ours, theirs = (integrate_midpoint(spec, X0, 1e-2, 20) for spec in (op, HamiltonianSpec(kernel=m)))
+        assert np.array_equal(ours.psi, theirs.psi) and np.array_equal(ours.energy_defects, theirs.energy_defects)
+        with pytest.raises(ValueError, match="no linear or nonlinear terms"):
+            HermitianOperator(m, linear_bra=[1.0, 0.0, 0.0], linear_ket=[1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="no linear or nonlinear terms"):
+            HermitianOperator(m, nonlinear="quartic_psi")
+        with pytest.raises(NotHermitianError, match="matrix deviates from Hermitian by 1.000e"):
+            HermitianOperator([[0.0, 1.0], [0.0, 0.0]])
 
     def test_normalization_factory(self):
         spec = HamiltonianSpec.normalization(3)
@@ -436,7 +452,7 @@ class TestIntegrateMidpoint:
         for label, spec in spec_kinds(3, rng)[:2]:
             X0 = sample_interior_points(3, 1, rng=rng, include_barycenter=False)[0]
             traj = integrate_midpoint(spec, X0, h, steps)
-            w, V = spec.hermitian_part.eigh
+            w, V = spec.eigh
             denom = 1.0 + 0.5j * h * w
             rotation = (1.0 - 0.5j * h * w) / denom
             V_h = V.conj().T

@@ -9,6 +9,7 @@ from simplexflow import (
     HamiltonianSpec,
     HermitianOperator,
     NotHermitianError,
+    NotRealError,
     PhasePoint,
     commutator_identity_check,
     from_complex,
@@ -175,10 +176,18 @@ class TestPropagateUnitary:
         K = HermitianOperator(random_hermitian(4, rng))
         w, V = K.eigh
         assert K.eigh[1] is V
-        assert_allclose((V * w) @ V.conj().T, K.matrix, rtol=0, atol=1e-14)
+        assert_allclose((V * w) @ V.conj().T, K.kernel, rtol=0, atol=1e-14)
         psi0 = ComplexState(np.eye(4)[0])
         assert_allclose(propagate_unitary(K, psi0, 0.7).psi, V @ (np.exp(-0.7j * w) * V.conj().T[:, 0]),
                         rtol=0, atol=1e-15)
+
+    def test_reads_only_the_kernel_of_a_real_valued_spec(self):
+        psi0 = ComplexState([0.6, 0.8j])
+        linear = HamiltonianSpec(kernel=SIGMA_X, linear_bra=[1.0, 1j], linear_ket=[1.0, -1j])
+        assert np.array_equal(propagate_unitary(linear, psi0, 0.3).psi,
+                              propagate_unitary(HermitianOperator(SIGMA_X), psi0, 0.3).psi)
+        with pytest.raises(NotRealError):
+            propagate_unitary(HamiltonianSpec(kernel=[[0.0, 1.0], [0.0, 0.0]]), psi0, 0.3)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):

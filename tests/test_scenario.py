@@ -523,7 +523,7 @@ class TestCheckRegistry:
                 "kernel": _node(spec.kernel),
                 "nonlinear": {"tag": spec.nonlinear, "strength": spec.nonlinear_strength},
             }
-            if spec.linear_bra is not None:
+            if spec.linear_bra.any():
                 hamiltonian.update(linear_bra=_node(spec.linear_bra), linear_ket=_node(spec.linear_ket))
             cfg = config_from_dict(
                 qubit_config(id=label, n=n, hamiltonian=hamiltonian,
@@ -539,7 +539,7 @@ class TestCheckRegistry:
             assert [rows[name]["pass"] for name in names] == list(flags), label
             assert [rows[name]["residual"] for name in names] == list(residuals), label
             assert cls.preserves_metric == (spec.nonlinear == "none"), label
-            assert cls.preserves_normalization == (spec.linear_bra is None), label
+            assert cls.preserves_normalization == (not spec.linear_bra.any()), label
 
     def test_small_anti_hermitian_part_is_not_real_valued(self, rng):
         kernel = random_hermitian(3, rng) + 1e-10j * random_hermitian(3, rng)
@@ -831,6 +831,39 @@ class TestCli:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert "check 'convergence' needs a pure-kernel hamiltonian" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("terms", [
+        {"nonlinear": {"tag": "sum_rho_squared", "strength": 0.0}},
+        {"nonlinear": {"tag": "quartic_psi", "strength": 0}},
+        {"linear_bra": {"real": [0.0, 0.0]}, "linear_ket": {"real": [0.0, 0.0]}},
+    ], ids=["sum_rho_squared", "quartic_psi", "linear"])
+    def test_zero_terms_leave_a_pure_kernel_that_passes_convergence(self, terms, tmp_path):
+        overrides = dict(checks=["convergence"], hamiltonian={"kernel": {"real": [[0.0, 1.0], [1.0, 0.0]]}, **terms})
+        assert config_from_dict(qubit_config(**overrides)).hamiltonian.is_pure_kernel
+        path = self.write(tmp_path, **overrides)
+        for command in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+            result = CliRunner().invoke(cli_main, command)
+            assert result.exit_code == 0, result.output
+        rows = json.loads((tmp_path / "out" / "qubit_report.json").read_text())["checks"]
+        assert [row["name"] for row in rows] == ["convergence.order"] and rows[0]["ok"]
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("overrides, field", [
+        ({"integrator": {"h": 1e-3, "steps": 10**15}}, "integrator.steps"),
+        ({"checks": ["convergence"], "convergence": {"h_list": [1e-300, 2e-300], "tau": 1.0}}, "convergence.h_list"),
+        ({"checks": ["convergence"], "convergence": {"h_list": [1e-3]}}, "convergence.h_list"),
+        ({"checks": ["convergence"], "convergence": {"h_list": [1e-3, 1e-3]}}, "convergence.h_list"),
+    ], ids=["steps_too_many", "rung_too_long", "one_step_size", "repeated_step_size"])
+    def test_configs_no_run_can_honour_are_config_errors(self, command, overrides, field, tmp_path):
+        # Each would otherwise fail to allocate its trajectory or report a
+        # convergence row with nothing to fit.
+        path = self.write(tmp_path, **overrides)
+        out = tmp_path / "out"
+        result = CliRunner().invoke(cli_main, [command, str(path)] + (["--out", str(out)] if command == "run" else []))
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"{field} " in result.output
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
