@@ -1,42 +1,35 @@
-"""Command-line scenario runner: run, validate, batch."""
+"""Command-line scenario runner: run, validate, batch; paths and seeds are checked by `scenario`."""
 
 from __future__ import annotations
 
+import argparse
 import sys
 from pathlib import Path
-
-import click
 
 from ._version import __version__
 from .errors import ConfigError
 from .scenario import ScenarioResult, run_scenario, validate_config
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="simplexflow")
-def main():
-    """Run and validate flow scenarios on the simplex phase space."""
+def _echo(message: str, err: bool = False) -> None:
+    # Flushed line by line, so stdout and stderr keep their order on one terminal.
+    print(message, file=sys.stderr if err else sys.stdout, flush=True)
 
 
 def _echo_result(result: ScenarioResult) -> None:
     for row in result.report.get("checks", []):
         status = "ok " if row["ok"] else "FAIL"
         expected = "" if row["expect_pass"] else " (expected to fail)"
-        click.echo(
-            f"{status} {row['name']}: residual {row['residual']:.3e}"
-            f" tolerance {row['tolerance']:.1e}{expected}"
-        )
-    error = result.report.get("error")
-    if error:
-        click.echo(f"error [{error['type']}]: {error['message']}", err=True)
-    click.echo(f"report: {result.report_path}")
+        _echo(f"{status} {row['name']}: residual {row['residual']:.3e} tolerance {row['tolerance']:.1e}{expected}")
+    if error := result.report.get("error"):
+        _echo(f"error [{error['type']}]: {error['message']}", err=True)
+    _echo(f"report: {result.report_path}")
     if result.trajectory_path is not None:
-        click.echo(f"trajectory: {result.trajectory_path}")
+        _echo(f"trajectory: {result.trajectory_path}")
 
 
 def _run_one(path: Path, out_dir: Path | None, seed: int | None) -> tuple[int, list[str], ScenarioResult | None]:
-    """Validate, reseed when asked, and run one scenario file: the exit code,
-    the messages for stderr, and the result when the scenario ran."""
+    """Validate, reseed when asked, and run one scenario file: (exit code, stderr messages, result or None)."""
     try:
         cfg = validate_config(path)
         if seed is not None:
@@ -50,69 +43,75 @@ def _run_one(path: Path, out_dir: Path | None, seed: int | None) -> tuple[int, l
     return result.exit_code, [], result
 
 
-@main.command()
-@click.argument("config", type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@click.option("--out", type=click.Path(path_type=Path), default=None,
-              help="Output directory (default: current directory).")
-@click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=None,
-              help="Override the config seed.")
-@click.option("--quiet", is_flag=True, help="Suppress per-check output.")
-def run(config: Path, out: Path | None, seed: int | None, quiet: bool):
+def run(args: argparse.Namespace) -> int:
     """Execute one scenario: integrate, run its checks, write CSV and report."""
-    code, messages, result = _run_one(config, out, seed)
+    code, messages, result = _run_one(args.config, args.out, args.seed)
     for message in messages:
-        click.echo(message, err=True)
-    if result is not None and not quiet:
+        _echo(message, err=True)
+    if result is not None and not args.quiet:
         _echo_result(result)
-    sys.exit(code)
+    return code
 
 
-@main.command()
-@click.argument("config", type=click.Path(exists=True, dir_okay=False, path_type=Path))
-def validate(config: Path):
+def validate(args: argparse.Namespace) -> int:
     """Validate a scenario file, reporting every problem found."""
     try:
-        cfg = validate_config(config)
+        cfg = validate_config(args.config)
     except ConfigError as exc:
         for message in exc.errors:
-            click.echo(f"invalid: {message}", err=True)
-        sys.exit(2)
-    click.echo(f"ok: {cfg.scenario_id} (n={cfg.n}, steps={cfg.steps}, checks={len(cfg.checks)})")
+            _echo(f"invalid: {message}", err=True)
+        return 2
+    _echo(f"ok: {cfg.scenario_id} (n={cfg.n}, steps={cfg.steps}, checks={len(cfg.checks)})")
+    return 0
 
 
-@main.command()
-@click.argument("directory", type=click.Path(exists=True, file_okay=False, path_type=Path))
-@click.option("--out", type=click.Path(file_okay=False, path_type=Path), default=None,
-              help="Output root; each scenario gets its own subdirectory.")
-@click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=None,
-              help="Override every config seed.")
-@click.option("--jobs", type=click.IntRange(1, 64), default=1,
-              help="Run scenarios in parallel processes.")
-@click.option("--quiet", is_flag=True, help="Only report failures.")
-def batch(directory: Path, out: Path | None, seed: int | None, jobs: int, quiet: bool):
+def batch(args: argparse.Namespace) -> int:
     """Run every *.json scenario in DIRECTORY with isolated outputs."""
-    configs = sorted(directory.glob("*.json"))
+    configs = sorted(args.directory.glob("*.json"))
     if not configs:
-        click.echo(f"no *.json configs found in {directory}", err=True)
-        sys.exit(2)
-    out_root = out if out is not None else Path.cwd()
-    args = (configs, [out_root / path.stem for path in configs], [seed] * len(configs))
-    if jobs > 1:
-        # Imported here, so that commands without a process pool do not pay
-        # for loading concurrent.futures and multiprocessing at start-up.
+        _echo(f"no *.json configs found in {args.directory}", err=True)
+        return 2
+    calls = (configs, [(args.out or Path.cwd()) / path.stem for path in configs], [args.seed] * len(configs))
+    if args.jobs > 1:
+        # Imported here, so that commands without a pool do not load it at start-up.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_one, *args))
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            outcomes = list(pool.map(_run_one, *calls))
     else:
-        outcomes = list(map(_run_one, *args))
-    worst = 0
+        outcomes = list(map(_run_one, *calls))
     for path, (code, messages, _) in zip(configs, outcomes):
-        worst = max(worst, code)
         for message in messages:
-            click.echo(f"{path.stem}: {message}", err=True)
+            _echo(f"{path.stem}: {message}", err=True)
         if code != 0:
-            click.echo(f"{path.stem}: exit {code}", err=True)
-        elif not quiet:
-            click.echo(f"{path.stem}: ok")
-    sys.exit(worst)
+            _echo(f"{path.stem}: exit {code}", err=True)
+        elif not args.quiet:
+            _echo(f"{path.stem}: ok")
+    return max(code for code, _, _ in outcomes)
+
+
+def main(argv: list[str] | None = None, prog_name: str = "simplexflow", standalone_mode: bool = True):
+    """Run and validate flow scenarios on the simplex phase space."""
+    parser = argparse.ArgumentParser(prog=prog_name, description=main.__doc__, allow_abbrev=False)
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    sub = {}
+    for command, argument in ((run, "CONFIG"), (validate, "CONFIG"), (batch, "DIRECTORY")):
+        doc = command.__doc__
+        sub[command] = commands.add_parser(command.__name__, help=doc, description=doc, allow_abbrev=False)
+        sub[command].set_defaults(command=command)
+        sub[command].add_argument(argument.lower(), metavar=argument, type=Path)
+    sub[run].add_argument("--out", type=Path, help="Output directory (default: current directory).")
+    sub[run].add_argument("--seed", type=int, help="Override the config seed.")
+    sub[run].add_argument("--quiet", action="store_true", help="Suppress per-check output.")
+    sub[batch].add_argument("--out", type=Path, help="Output root; each scenario gets its own subdirectory.")
+    sub[batch].add_argument("--seed", type=int, help="Override every config seed.")
+    sub[batch].add_argument("--jobs", type=int, default=1, help="Run scenarios in parallel processes.")
+    sub[batch].add_argument("--quiet", action="store_true", help="Only report failures.")
+    args = parser.parse_args(argv)
+    if not 1 <= getattr(args, "jobs", 1) <= 64:
+        sub[batch].error(f"argument --jobs: {args.jobs} is not in the range 1<=x<=64")
+    code = args.command(args)
+    if not standalone_mode:  # the caller handles the exit code
+        return code
+    sys.exit(code)

@@ -32,6 +32,7 @@ from .geometry import (
     _metric_blocks_derivative,
     _metric_parts,
     _ray_lengths,
+    _require_tangent,
     _row_dot,
     _row_norm,
     _times_metric,
@@ -223,10 +224,10 @@ def fs_consistency(
     psi, a tangent drho (sum zero) and distinct epsilons.
 
     The epsilons are evaluated together, one row each.  A displacement that
-    `induced_metric_ts` or `PhasePoint` rejects raises their error.  Each of
-    their rules that rejects a step rejects every larger one (the tangency
-    rule up to the rounding of its sum), so they are called on the largest
-    epsilon only.
+    `induced_metric_ts` or `PhasePoint` rejects raises their error.  The
+    tangency rule |sum(eps drho)| <= NORM_TOL is applied to every row; each
+    of their other rules that rejects a step rejects every larger one, so
+    they are called on the largest epsilon only.
     """
     if not psi.is_normalized:
         raise NormalizationError(f"psi must be normalized, total weight {psi.rho_total!r}")
@@ -248,6 +249,8 @@ def fs_consistency(
     PhasePoint(rho + largest * drho, pi + largest * dpi)
     eps = np.array(eps_sorted)[:, None]
     step_rho, step_pi = eps * drho, eps * dpi
+    for drift in step_rho.sum(axis=1).tolist():
+        _require_tangent(drift)
     numerators = _ray_lengths(step_rho, step_pi, _metric_parts(rho, params))
     phi = _psi_from(rho + step_rho, pi + step_pi)
     aligned = np.exp(1j * np.angle(_row_dot(psi.psi.conj(), phi)))[:, None] * psi.psi
@@ -295,7 +298,8 @@ def convergence_study(spec: HamiltonianSpec, X0: PhasePoint, h_list, tau_total: 
 
     The Hamiltonian must be a pure Hermitian kernel (a constant offset is
     allowed; it does not move the flow), since the oracle is exp(-i K tau).
-    NonFiniteError is raised when a step count tau_total / h overflows.
+    NonFiniteError is raised when a step count tau_total / h overflows, and
+    integrate_midpoint's ValueError when a rung exceeds MAX_TRAJECTORY_ENTRIES.
     """
     if spec.realness_deviations[0] > HERMITIAN_TOL:
         raise NotHermitianError("a Hermitian kernel is required for the unitary oracle")

@@ -53,6 +53,15 @@ PHASE_FLOOR = 1e-15
 
 NONLINEAR_TAGS = ("none", "sum_rho_squared", "quartic_psi")
 
+#: Largest (steps + 1) x n state entries that one integration may hold:
+#: `integrate_midpoint` raises ValueError above it, and `scenario` makes it a
+#: config error for `integrator.steps` and each `convergence` rung.  At 16
+#: bytes per complex entry, one complex (steps + 1) x n array takes at most
+#: 512 MiB.  An integration's peak RSS is about 7.5 such arrays (measured at
+#: n = 128 for 2,000 to 16,000 steps), so about 3.8 GiB at the bound; the
+#: largest benchmark run has 64,128 entries.
+MAX_TRAJECTORY_ENTRIES = 2**25
+
 
 def _wrap(angles) -> np.ndarray:
     """Angles reduced to [0, 2 pi).  np.mod rounds an angle just below zero
@@ -492,7 +501,8 @@ def integrate_midpoint(
     update is still above ``tol`` after ``max_iter`` sweeps, or at the first
     sweep whose update is not finite.  NonFiniteError is raised when the last
     sample time steps * h, the step coefficients, or the state or its defects
-    at some step, overflow.
+    at some step, overflow.  ValueError is raised, before anything is
+    allocated, when (steps + 1) * n exceeds MAX_TRAJECTORY_ENTRIES.
     rho_i = 0 is a regular point of the chart, so a flow passes through the
     simplex boundary.  Records the normalization defect |sum(rho) - 1| and
     the energy defect |H(X_k) - H(X_0)| at every sample, and the sweeps of
@@ -509,6 +519,9 @@ def integrate_midpoint(
         raise NonFiniteError(f"midpoint sample times are not finite: {steps} steps of h = {h!r}")
     n = X0.n
     _check_dim(spec, n)
+    if (steps + 1) * n > MAX_TRAJECTORY_ENTRIES:
+        raise ValueError(f"(steps + 1) * n must be at most MAX_TRAJECTORY_ENTRIES = {MAX_TRAJECTORY_ENTRIES}, "
+                         f"got ({steps} + 1) * {n}")
     _, b, s = spec.psi_form
     w, V = spec.eigh
     # Overflow is caught below, as NonFiniteError or ConvergenceError.

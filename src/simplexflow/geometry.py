@@ -352,6 +352,12 @@ def embedding_length(drho, dpi, rho, params: MetricParams = CANONICAL_PARAMS) ->
         return _finite_length(_embedding_lengths(drho, dpi, _metric_parts(rho, params)))
 
 
+def _require_tangent(drift: float) -> None:
+    """NormalizationError unless ``drift``, a sum(drho), is within NORM_TOL of zero."""
+    if abs(drift) > NORM_TOL:
+        raise NormalizationError(f"drho must be tangent to the simplex, sum(drho) = {drift:.3e}")
+
+
 def induced_metric_ts(rho, drho, dpi, params: MetricParams = CANONICAL_PARAMS) -> float:
     """Squared ray distance: min over nu of the embedding length of
     (drho, dpi + nu n).
@@ -373,8 +379,6 @@ def induced_metric_ts(rho, drho, dpi, params: MetricParams = CANONICAL_PARAMS) -
     total = float(rho.sum())
     if abs(total - 1.0) > NORM_TOL:
         raise NormalizationError(f"rho must be normalized, |sum(rho) - 1| = {abs(total - 1.0):.3e}")
-    drift = float(drho.sum())
-    if abs(drift) > NORM_TOL:
-        raise NormalizationError(f"drho must be tangent to the simplex, sum(drho) = {drift:.3e}")
+    _require_tangent(float(drho.sum()))
     with np.errstate(over="ignore", invalid="ignore"):
         return _finite_length(_ray_lengths(drho, dpi, _metric_parts(rho, params)))

@@ -34,6 +34,7 @@ from .diagnostics import (
 from .errors import ConfigError, ParamError, SimplexFlowError
 from .flows import (
     HERMITIAN_TOL,
+    MAX_TRAJECTORY_ENTRIES,
     NONLINEAR_TAGS,
     HamiltonianSpec,
     PhasePoint,
@@ -95,12 +96,6 @@ CSV_CHUNK_VALUES = 4096
 #: array holds eight normals per entry: 128 KiB, or one pair's 64 n bytes
 #: where n > 2048.
 BRACKET_BLOCK_VALUES = 2048
-
-#: Largest (steps + 1) x n state entries that one integration may hold, for
-#: `integrator.steps` and each `convergence` rung.  At 16 bytes per complex
-#: entry, each complex (steps + 1) x n array of the integration takes at most
-#: 512 MiB, and it holds a few; the largest benchmark run has 64,128 entries.
-MAX_TRAJECTORY_ENTRIES = 2**25
 
 DEFAULT_CONVERGENCE_H = (4e-3, 2e-3, 1e-3, 5e-4)
 DEFAULT_CONVERGENCE_TAU = 1.0

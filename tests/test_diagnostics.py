@@ -35,7 +35,7 @@ from simplexflow import (
 )
 from simplexflow.diagnostics import random_hermitian, sample_interior_points
 from simplexflow.flows import _field_arrays, _field_jacobian
-from simplexflow.geometry import _metric_blocks, _metric_blocks_derivative, _metric_parts
+from simplexflow.geometry import NORM_TOL, _metric_blocks, _metric_blocks_derivative, _metric_parts
 from simplexflow.scenario import CONVERGENCE_EXACT_TOL, CONVERGENCE_ORDER_TOL
 
 from conftest import SIGMA_X, SIGMA_Z, lie_derivative, spec_kinds
@@ -337,6 +337,20 @@ class TestFsConsistency:
         result = fs_consistency(psi, 1e-10 * tangent, np.zeros(2), (1e-2, 1e-10))
         assert result.gauge_null and result.ratios == ()
 
+    def test_tangency_is_checked_at_every_epsilon(self):
+        # |sum(eps drho)| <= NORM_TOL is monotone in eps only up to the
+        # rounding of the sum.  For this drho (sum 2e-13, found by a seeded
+        # search) the larger epsilon is tangent and the smaller one is not.
+        psi = to_complex(PhasePoint([0.25] * 4, [0.0, 0.5, 1.0, 1.5]))
+        drho = np.array([-0.01729929557073841, -0.02389903460355933, 0.00642691373970591, 0.03477141643479184])
+        dpi = np.array([0.1, -0.2, 0.05, 0.0])
+        epsilons = (4.9998330584185355, 4.999783060087951)
+        assert [abs(float((eps * drho).sum())) <= NORM_TOL for eps in epsilons] == [True, False]
+        with pytest.raises(NormalizationError) as expected:
+            fs_ratios_per_epsilon(psi, drho, dpi, epsilons)
+        with pytest.raises(NormalizationError, match=f"^{re.escape(str(expected.value))}$"):
+            fs_consistency(psi, drho, dpi, epsilons)
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_any_probe_raises_or_reads_what_a_loop_gives(self, data):
@@ -510,6 +524,11 @@ class TestConvergenceStudy:
         X0 = sample_interior_points(5, 1, rng=rng, include_barycenter=False)[0]
         report = convergence_study(spec, X0, (8e-3, 4e-3, 2e-3), 0.8)
         assert 1.9 <= report.observed_order <= 2.1
+
+    def test_a_rung_above_the_entry_bound_is_rejected_before_allocation(self):
+        X0 = PhasePoint([0.5, 0.5], [0.0, 0.0])
+        with pytest.raises(ValueError, match="at most MAX_TRAJECTORY_ENTRIES = "):
+            convergence_study(HamiltonianSpec(kernel=np.eye(2)), X0, [1e-300, 2e-300], 1.0)
 
     def test_rejects_non_kernel_specs(self):
         X0 = PhasePoint([0.5, 0.5], [0.0, 0.0])

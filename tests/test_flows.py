@@ -32,7 +32,7 @@ from simplexflow import (
     to_complex,
 )
 from simplexflow.diagnostics import random_hermitian, sample_interior_points
-from simplexflow.flows import _eval_complex, _field_arrays, _field_jacobian
+from simplexflow.flows import MAX_TRAJECTORY_ENTRIES, _eval_complex, _field_arrays, _field_jacobian
 
 from conftest import SIGMA_X, SIGMA_Z, spec_kinds
 
@@ -410,6 +410,12 @@ class TestIntegrateMidpoint:
         shifted = HamiltonianSpec(kernel=np.zeros((2, 2)), linear_bra=bra, linear_ket=bra)
         with pytest.raises(NonFiniteError, match="state is not finite at step 1$"):
             integrate_midpoint(shifted, X0, 10.0, 5)
+
+    def test_a_trajectory_above_the_entry_bound_is_rejected_before_allocation(self):
+        X0 = PhasePoint([0.36, 0.64], [0.0, 0.0])
+        with pytest.raises(ValueError, match=r"at most MAX_TRAJECTORY_ENTRIES = 33554432, got \(10+ \+ 1\) \* 2$"):
+            integrate_midpoint(HamiltonianSpec(kernel=np.eye(2)), X0, 1e-3, 10**15)
+        assert MAX_TRAJECTORY_ENTRIES == 2**25
 
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_step_solves_the_midpoint_equation(self, n, rng):

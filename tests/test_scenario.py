@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import functools
+import io
 import itertools
 import json
 import math
@@ -14,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import simplexflow
 from simplexflow import (
@@ -753,6 +754,25 @@ class TestEmitReport:
         assert first == second
 
 
+@dataclasses.dataclass(frozen=True)
+class CliResult:
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+def invoke(args: list[str]) -> CliResult:
+    """Run the CLI in process on ``args``: the code it exits with, and what it wrote to stdout and stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), pytest.raises(SystemExit) as exited:
+        cli_main(args)
+    return CliResult(exited.value.code, stdout.getvalue(), stderr.getvalue())
+
+
 class TestCli:
     def write(self, tmp_path, name="scn.json", **overrides):
         path = tmp_path / name
@@ -761,26 +781,26 @@ class TestCli:
 
     def test_validate_ok(self, tmp_path):
         path = self.write(tmp_path)
-        result = CliRunner().invoke(cli_main, ["validate", str(path)])
+        result = invoke(["validate", str(path)])
         assert result.exit_code == 0
         assert "ok:" in result.output
 
     def test_validate_reports_every_error(self, tmp_path):
         path = self.write(tmp_path, integrator={"h": -1.0, "steps": 0})
-        result = CliRunner().invoke(cli_main, ["validate", str(path)])
+        result = invoke(["validate", str(path)])
         assert result.exit_code == 2
         assert result.output.count("invalid:") >= 2
 
     def test_validate_names_an_unknown_key(self, tmp_path):
         path = self.write(tmp_path, chekcs=["metric"])
-        result = CliRunner().invoke(cli_main, ["validate", str(path)])
+        result = invoke(["validate", str(path)])
         assert result.exit_code == 2
         assert "invalid: unknown key 'chekcs' at the top level" in result.output
 
     def test_run_writes_outputs(self, tmp_path):
         path = self.write(tmp_path)
         out = tmp_path / "out"
-        result = CliRunner().invoke(cli_main, ["run", str(path), "--out", str(out)])
+        result = invoke(["run", str(path), "--out", str(out)])
         assert result.exit_code == 0, result.output
         assert (out / "qubit_trajectory.csv").exists()
         assert (out / "qubit_report.json").exists()
@@ -788,15 +808,13 @@ class TestCli:
 
     def test_run_quiet(self, tmp_path):
         path = self.write(tmp_path)
-        result = CliRunner().invoke(
-            cli_main, ["run", str(path), "--out", str(tmp_path / "o"), "--quiet"]
-        )
+        result = invoke(["run", str(path), "--out", str(tmp_path / "o"), "--quiet"])
         assert result.exit_code == 0
         assert result.output == ""
 
     def test_run_config_error_exit_2(self, tmp_path):
         path = self.write(tmp_path, integrator={"h": 1e-3, "steps": 0})
-        result = CliRunner().invoke(cli_main, ["run", str(path)])
+        result = invoke(["run", str(path)])
         assert result.exit_code == 2
 
     def write_overflowing(self, directory, name="overflow.json"):
@@ -809,9 +827,8 @@ class TestCli:
     def test_run_overflowing_flow_exits_2_with_an_error_record(self, tmp_path):
         path = self.write_overflowing(tmp_path)
         out = tmp_path / "out"
-        result = CliRunner().invoke(cli_main, ["run", str(path), "--out", str(out)])
+        result = invoke(["run", str(path), "--out", str(out)])
         assert result.exit_code == 2, result.output
-        assert isinstance(result.exception, SystemExit)
         assert "error [NonFiniteError]" in result.output
         report = json.loads((out / "overflow_report.json").read_text())
         assert report["error"]["type"] == "NonFiniteError"
@@ -827,9 +844,8 @@ class TestCli:
         path = self.write(tmp_path, checks=["realness", "convergence"],
                           hamiltonian={"kernel": {"real": [[0.0, 1.0], [1.0, 0.0]]}, **terms})
         out = tmp_path / "out"
-        result = CliRunner().invoke(cli_main, [command, str(path)] + (["--out", str(out)] if command == "run" else []))
+        result = invoke([command, str(path)] + (["--out", str(out)] if command == "run" else []))
         assert result.exit_code == 2, result.output
-        assert isinstance(result.exception, SystemExit)
         assert "check 'convergence' needs a pure-kernel hamiltonian" in result.output
         assert not out.exists()
 
@@ -843,7 +859,7 @@ class TestCli:
         assert config_from_dict(qubit_config(**overrides)).hamiltonian.is_pure_kernel
         path = self.write(tmp_path, **overrides)
         for command in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
-            result = CliRunner().invoke(cli_main, command)
+            result = invoke(command)
             assert result.exit_code == 0, result.output
         rows = json.loads((tmp_path / "out" / "qubit_report.json").read_text())["checks"]
         assert [row["name"] for row in rows] == ["convergence.order"] and rows[0]["ok"]
@@ -860,9 +876,8 @@ class TestCli:
         # convergence row with nothing to fit.
         path = self.write(tmp_path, **overrides)
         out = tmp_path / "out"
-        result = CliRunner().invoke(cli_main, [command, str(path)] + (["--out", str(out)] if command == "run" else []))
+        result = invoke([command, str(path)] + (["--out", str(out)] if command == "run" else []))
         assert result.exit_code == 2, result.output
-        assert isinstance(result.exception, SystemExit)
         assert f"{field} " in result.output
         assert not out.exists()
 
@@ -874,9 +889,8 @@ class TestCli:
     def test_run_overflowing_times_exits_2_with_an_error_record(self, overrides, check, tmp_path):
         path = self.write(tmp_path, **overrides)
         out = tmp_path / "out"
-        result = CliRunner().invoke(cli_main, ["run", str(path), "--out", str(out)])
+        result = invoke(["run", str(path), "--out", str(out)])
         assert result.exit_code == 2, result.output
-        assert isinstance(result.exception, SystemExit)
         assert "error [NonFiniteError]" in result.output
         error = json.loads((out / "qubit_report.json").read_text())["error"]
         assert error["type"] == "NonFiniteError" and error.get("check") == check
@@ -887,7 +901,7 @@ class TestCli:
         self.write_overflowing(scenarios, "a.json")
         self.write(scenarios, "b.json")
         out = tmp_path / "out"
-        result = CliRunner().invoke(cli_main, ["batch", str(scenarios), "--out", str(out)])
+        result = invoke(["batch", str(scenarios), "--out", str(out)])
         assert result.exit_code == 2, result.output
         assert "a: exit 2" in result.output
         assert json.loads((out / "a" / "overflow_report.json").read_text())["error"]["type"] == "NonFiniteError"
@@ -897,14 +911,13 @@ class TestCli:
     def test_run_exits_2_when_its_outputs_cannot_be_written(self, tmp_path):
         path = self.write(tmp_path)
         (tmp_path / "blocked").write_text("a file, not a directory")
-        result = CliRunner().invoke(cli_main, ["run", str(path), "--out", str(tmp_path / "blocked" / "out")])
+        result = invoke(["run", str(path), "--out", str(tmp_path / "blocked" / "out")])
         assert result.exit_code == 2, result.output
-        assert isinstance(result.exception, SystemExit)
         assert "error: cannot write outputs:" in result.output
 
     def test_run_out_at_a_file_exits_2_with_the_message_of_batch(self, tmp_path):
         # The file reaches the shared runner, as under batch, instead of
-        # stopping in click's usage check with another message.
+        # stopping in the argument parser with another message.
         path = self.write(tmp_path)
         (tmp_path / "blocked").write_text("a file, not a directory")
         proc = subprocess.run([sys.executable, "-m", "simplexflow", "run", str(path), "--out",
@@ -921,9 +934,8 @@ class TestCli:
         out = tmp_path / "out"
         out.mkdir()
         (out / "a").write_text("a file where the output directory of a.json goes")
-        result = CliRunner().invoke(cli_main, ["batch", str(scenarios), "--out", str(out)])
+        result = invoke(["batch", str(scenarios), "--out", str(out)])
         assert result.exit_code == 2, result.output
-        assert isinstance(result.exception, SystemExit)
         assert "a: error: cannot write outputs:" in result.output
         assert "a: exit 2" in result.output
         assert (out / "b" / "qubit_trajectory.csv").exists()
@@ -951,11 +963,11 @@ class TestCli:
         run_codes, run_messages = {}, {}
         for stem in "abc":
             args = ["run", str(scenarios / f"{stem}.json"), "--out", str(out / stem), "--quiet"]
-            result = CliRunner().invoke(cli_main, args)
+            result = invoke(args)
             run_codes[stem], run_messages[stem] = result.exit_code, result.output.splitlines()
         run_files = written()
         fresh_out()
-        result = CliRunner().invoke(cli_main, ["batch", str(scenarios), "--out", str(out), "--quiet"])
+        result = invoke(["batch", str(scenarios), "--out", str(out), "--quiet"])
         batch_codes, batch_messages = dict.fromkeys("abc", 0), {stem: [] for stem in "abc"}
         for line in result.output.splitlines():
             stem, message = line.split(": ", 1)
@@ -982,7 +994,7 @@ class TestCli:
         for run, run_jobs in enumerate(("1", jobs)):
             out = tmp_path / f"batch_out_{run}"
             args = ["batch", str(scenarios), "--out", str(out), "--jobs", run_jobs]
-            result = CliRunner().invoke(cli_main, args)
+            result = invoke(args)
             assert result.exit_code == 0, result.output
             assert (out / "a" / "qubit_report.json").exists()
             assert (out / "b" / "qubit_report.json").exists()
@@ -993,8 +1005,62 @@ class TestCli:
     def test_batch_empty_dir(self, tmp_path):
         empty = tmp_path / "none"
         empty.mkdir()
-        result = CliRunner().invoke(cli_main, ["batch", str(empty)])
+        result = invoke(["batch", str(empty)])
         assert result.exit_code == 2
+
+    # Each rule on a path or a seed has one owner, the scenario layer, so the
+    # CLI prints the library's own message for it.
+
+    @pytest.mark.parametrize("command, prefix", [("run", "config error"), ("validate", "invalid")])
+    @pytest.mark.parametrize("target", ["missing.json", "."], ids=["missing", "directory"])
+    def test_an_unreadable_config_is_the_librarys_error(self, command, prefix, target, tmp_path):
+        path = tmp_path / target
+        result = invoke([command, str(path)])
+        assert result.exit_code == 2
+        with pytest.raises(ConfigError) as caught:
+            validate_config(path)
+        assert caught.value.errors[0].startswith(f"cannot read {path}: ")
+        assert result.stderr == f"{prefix}: {caught.value.errors[0]}\n"
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_run_seed_out_of_range_is_the_librarys_error(self, seed, tmp_path):
+        path = self.write(tmp_path)
+        out = tmp_path / "out"
+        result = invoke(["run", str(path), "--out", str(out), "--seed", seed])
+        assert result.exit_code == 2
+        assert result.stderr == f"config error: seed must be an integer in [0, 2^64), got {seed}\n"
+        assert not out.exists()
+
+    def test_batch_seed_out_of_range_is_reported_once_per_file(self, tmp_path):
+        scenarios = tmp_path / "scenarios"
+        scenarios.mkdir()
+        self.write(scenarios, "a.json")
+        self.write(scenarios, "b.json")
+        result = invoke(["batch", str(scenarios), "--out", str(tmp_path / "out"), "--seed", "-1"])
+        assert result.exit_code == 2
+        message = "config error: seed must be an integer in [0, 2^64), got -1"
+        assert result.stderr.splitlines() == [f"a: {message}", "a: exit 2", f"b: {message}", "b: exit 2"]
+
+    @pytest.mark.parametrize("target", ["missing", "file.json"])
+    def test_batch_on_no_directory_finds_no_configs(self, target, tmp_path):
+        self.write(tmp_path, "file.json")
+        result = invoke(["batch", str(tmp_path / target)])
+        assert result.exit_code == 2
+        assert result.stderr == f"no *.json configs found in {tmp_path / target}\n"
+
+    @pytest.mark.parametrize("jobs", ["0", "65", "two"])
+    def test_batch_jobs_out_of_range_is_a_usage_error(self, jobs, tmp_path):
+        self.write(tmp_path)
+        out = tmp_path / "out"
+        result = invoke(["batch", str(tmp_path), "--out", str(out), "--jobs", jobs])
+        assert result.exit_code == 2
+        assert "--jobs" in result.stderr
+        assert not out.exists()
+
+    def test_version(self):
+        result = invoke(["--version"])
+        assert (result.exit_code, result.stdout) == (0, "simplexflow, version 0.1.0\n")
 
 
 def _src_env() -> dict:
@@ -1004,15 +1070,20 @@ def _src_env() -> dict:
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
-    code = ("import sys, simplexflow.cli; "
-            "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
+    # Nothing outside the standard library and NumPy either: the CLI parses
+    # its arguments with argparse.
+    code = ("import sys; before = set(sys.modules); import simplexflow.cli; "
+            "loaded = {m.split('.')[0] for m in set(sys.modules) - before}; "
+            "print(sorted(loaded - set(sys.stdlib_module_names)), "
+            "[m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "['numpy', 'simplexflow'] []"
 
 
 def test_python_dash_m_runs_the_cli():
     proc = subprocess.run([sys.executable, "-m", "simplexflow", "--help"], env=_src_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert "batch" in proc.stdout
+    assert proc.stdout.startswith("usage: simplexflow ")
+    assert all(command in proc.stdout for command in ("run", "validate", "batch"))
