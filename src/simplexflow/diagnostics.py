@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, NormalizationError, NotHermitianError, ParamError
+from .errors import NonFiniteError, NormalizationError, ParamError
 from .flows import (
-    HERMITIAN_TOL,
     HamiltonianSpec,
     PhasePoint,
     _field_arrays,
@@ -296,15 +295,13 @@ def convergence_study(spec: HamiltonianSpec, X0: PhasePoint, h_list, tau_total: 
     """Endpoint error of the midpoint integrator against the unitary
     propagator for each step size, with the fitted observed order.
 
-    The Hamiltonian must be a pure Hermitian kernel (a constant offset is
-    allowed; it does not move the flow), since the oracle is exp(-i K tau).
-    NonFiniteError is raised when a step count tau_total / h overflows, and
-    integrate_midpoint's ValueError when a rung exceeds MAX_TRAJECTORY_ENTRIES.
+    The oracle is exp(-i K tau), so the spec must meet
+    `HamiltonianSpec.require_unitary_flow` (a constant offset is allowed; it
+    does not move the flow).  NonFiniteError is raised when a step count
+    tau_total / h overflows, and integrate_midpoint's ValueError when a rung
+    breaks its step rule.
     """
-    if spec.realness_deviations[0] > HERMITIAN_TOL:
-        raise NotHermitianError("a Hermitian kernel is required for the unitary oracle")
-    if not spec.is_pure_kernel:
-        raise ValueError("the unitary oracle applies to pure-kernel Hamiltonians only")
+    spec.require_unitary_flow()
     psi0 = to_complex(X0)
     rows: list[dict] = []
     errors: list[float] = []

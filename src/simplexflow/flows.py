@@ -53,14 +53,19 @@ PHASE_FLOOR = 1e-15
 
 NONLINEAR_TAGS = ("none", "sum_rho_squared", "quartic_psi")
 
-#: Largest (steps + 1) x n state entries that one integration may hold:
-#: `integrate_midpoint` raises ValueError above it, and `scenario` makes it a
-#: config error for `integrator.steps` and each `convergence` rung.  At 16
+#: Largest (steps + 1) x n state entries that one integration may hold, a
+#: clause of the step rule `_step_problems`, which `integrate_midpoint` and
+#: the config (`integrator.steps` and each `convergence` rung) apply.  At 16
 #: bytes per complex entry, one complex (steps + 1) x n array takes at most
 #: 512 MiB.  An integration's peak RSS is about 7.5 such arrays (measured at
 #: n = 128 for 2,000 to 16,000 steps), so about 3.8 GiB at the bound; the
 #: largest benchmark run has 64,128 entries.
 MAX_TRAJECTORY_ENTRIES = 2**25
+
+#: Fixed-point update at which the nonlinear midpoint solve stops, and the
+#: sweeps one step may take before ConvergenceError.
+MIDPOINT_TOL = 1e-13
+MIDPOINT_MAX_SWEEPS = 50
 
 
 def _wrap(angles) -> np.ndarray:
@@ -226,6 +231,15 @@ class HamiltonianSpec:
             memo["_last_jacobian"] = (weakref.ref(X, lambda _: memo.pop("_last_jacobian", None)), jac)
         return jac
 
+    def require_unitary_flow(self) -> None:
+        """The unitary oracle's requirement: NotHermitianError for a kernel not Hermitian within
+        HERMITIAN_TOL, ValueError for a nonzero linear term or nonlinear strength."""
+        deviation = self.realness_deviations[0]
+        if deviation > HERMITIAN_TOL:
+            raise NotHermitianError(f"matrix deviates from Hermitian by {deviation:.3e}")
+        if not self.is_pure_kernel:
+            raise ValueError("a HermitianOperator has no linear or nonlinear terms")
+
     def require_valid_real(self) -> None:
         if not self.is_valid_real():
             raise NotRealError(
@@ -242,17 +256,12 @@ class HamiltonianSpec:
 
 class HermitianOperator(HamiltonianSpec):
     """The pure-kernel spec of a Hermitian matrix, built as
-    HermitianOperator(matrix); its flow is exp(-i matrix tau).
-    NotHermitianError for a matrix that is not Hermitian within
-    HERMITIAN_TOL, ValueError for a nonzero linear term or nonlinear strength."""
+    HermitianOperator(matrix); its flow is exp(-i matrix tau).  Construction
+    raises the errors of `HamiltonianSpec.require_unitary_flow`."""
 
     def __post_init__(self):
         super().__post_init__()
-        deviation = self.realness_deviations[0]
-        if deviation > HERMITIAN_TOL:
-            raise NotHermitianError(f"matrix deviates from Hermitian by {deviation:.3e}")
-        if not self.is_pure_kernel:
-            raise ValueError("a HermitianOperator has no linear or nonlinear terms")
+        self.require_unitary_flow()
 
 
 @dataclass(frozen=True)
@@ -453,15 +462,32 @@ def check_normalization_generator(spec: HamiltonianSpec, X: PhasePoint) -> float
     return float(dp.sum())
 
 
-def _count(name: str, value) -> int:
-    """``value`` as an int; ValueError unless it is an integer >= 1."""
+def _is_number(value) -> bool:
+    """Whether ``value`` is a Python or NumPy int or float, not a bool, that is finite as a float."""
     try:
-        valid = int(value) == value and value >= 1
-    except (TypeError, ValueError, OverflowError):
-        valid = False
-    if not valid:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
+        return (isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _steps_bound(n: int) -> str:
+    """The largest step count that MAX_TRAJECTORY_ENTRIES allows at dimension n, in words."""
+    return f"MAX_TRAJECTORY_ENTRIES / n - 1 = {MAX_TRAJECTORY_ENTRIES // n - 1} at n = {n}"
+
+
+def _step_problems(h, steps, n: int) -> list[str]:
+    """The broken clauses of the step rule, worded for the config, which prefixes `integrator.`:
+    h is a finite number > 0, steps an integer >= 1, neither a bool (NumPy scalars are numbers),
+    and (steps + 1) * n is at most MAX_TRAJECTORY_ENTRIES."""
+    problems = []
+    if not (_is_number(h) and h > 0):
+        problems.append(f"h must be a positive number, got {h!r}")
+    if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < 1:
+        problems.append(f"steps must be an integer >= 1, got {steps!r}")
+    elif (int(steps) + 1) * n > MAX_TRAJECTORY_ENTRIES:
+        problems.append(f"steps must be at most {_steps_bound(n)}, got {steps!r}")
+    return problems
 
 
 #: Weights of the quartic extrapolation 4 K_-1 - 6 K_-2 + 4 K_-3 - K_-4 of the
@@ -475,15 +501,7 @@ _EXTRAPOLATION = np.array([
 ], dtype=complex)
 
 
-def integrate_midpoint(
-    spec: HamiltonianSpec,
-    X0: PhasePoint,
-    h: float,
-    steps: int,
-    *,
-    tol: float = 1e-13,
-    max_iter: int = 50,
-) -> Trajectory:
+def integrate_midpoint(spec: HamiltonianSpec, X0: PhasePoint, h: float, steps: int) -> Trajectory:
     """Integrate the flow of ``spec`` from ``X0`` with the implicit midpoint rule in psi.
 
     In the chart the flow is dpsi/dtau = -i (K psi + b + g(psi)), with
@@ -498,31 +516,27 @@ def integrate_midpoint(
     the kick at psi0; every later step starts from the quartic extrapolation
     4 K_-1 - 6 K_-2 + 4 K_-3 - K_-4 of the last four converged kicks, which
     usually leaves one sweep per step.  ConvergenceError is raised when an
-    update is still above ``tol`` after ``max_iter`` sweeps, or at the first
-    sweep whose update is not finite.  NonFiniteError is raised when the last
-    sample time steps * h, the step coefficients, or the state or its defects
-    at some step, overflow.  ValueError is raised, before anything is
-    allocated, when (steps + 1) * n exceeds MAX_TRAJECTORY_ENTRIES.
+    update is still above MIDPOINT_TOL after MIDPOINT_MAX_SWEEPS sweeps, or at
+    the first sweep whose update is not finite.  NonFiniteError is raised
+    when the last sample time steps * h, the step coefficients, or the state
+    or its defects at some step, overflow.  ValueError is raised, before
+    anything is allocated, when h and steps break the step rule of
+    `_step_problems`, with its words.
     rho_i = 0 is a regular point of the chart, so a flow passes through the
     simplex boundary.  Records the normalization defect |sum(rho) - 1| and
     the energy defect |H(X_k) - H(X_0)| at every sample, and the sweeps of
     every step.
     """
     spec.require_valid_real()
-    if not np.isfinite(h) or h <= 0.0:
-        raise ValueError(f"h must be positive and finite, got {h!r}")
-    steps = _count("steps", steps)
-    max_iter = _count("max_iter", max_iter)
-    if not math.isfinite(tol) or tol < 0.0:
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-    if not math.isfinite(steps * h):
-        raise NonFiniteError(f"midpoint sample times are not finite: {steps} steps of h = {h!r}")
     n = X0.n
     _check_dim(spec, n)
-    if (steps + 1) * n > MAX_TRAJECTORY_ENTRIES:
-        raise ValueError(f"(steps + 1) * n must be at most MAX_TRAJECTORY_ENTRIES = {MAX_TRAJECTORY_ENTRIES}, "
-                         f"got ({steps} + 1) * {n}")
+    if problems := _step_problems(h, steps, n):
+        raise ValueError("; ".join(problems))
+    steps = int(steps)
+    if not math.isfinite(steps * h):
+        raise NonFiniteError(f"midpoint sample times are not finite: {steps} steps of h = {h!r}")
     _, b, s = spec.psi_form
+    tol, max_sweeps = MIDPOINT_TOL, MIDPOINT_MAX_SWEEPS
     w, V = spec.eigh
     # Overflow is caught below, as NonFiniteError or ConvergenceError.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -570,7 +584,7 @@ def integrate_midpoint(
             else:
                 np.dot(_EXTRAPOLATION[k % 4], kicks, out=z)
             np.add(affine, z, z)
-            for sweep in range(1, max_iter + 1):
+            for sweep in range(1, max_sweeps + 1):
                 np.add(start, z, update)
                 np.multiply(0.5, update, update)
                 kick(update, update)
@@ -584,7 +598,7 @@ def integrate_midpoint(
                     raise ConvergenceError(f"midpoint fixed point diverged at step {k + 1}")
             else:
                 raise ConvergenceError(
-                    f"midpoint fixed point missed tolerance {tol:g} after {max_iter} sweeps"
+                    f"midpoint fixed point missed tolerance {tol:g} after {max_sweeps} sweeps"
                     f" at step {k + 1}"
                 )
             sweeps[k] = sweep

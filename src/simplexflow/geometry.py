@@ -135,8 +135,11 @@ class MetricParams:
     b_coeffs: tuple[float, ...] = (1.0,)
 
     def __post_init__(self):
-        a = tuple(float(c) for c in self.a_coeffs)
-        b = tuple(float(c) for c in self.b_coeffs)
+        try:
+            a = tuple(float(c) for c in self.a_coeffs)
+            b = tuple(float(c) for c in self.b_coeffs)
+        except OverflowError:  # an int too large for a float
+            raise ParamError("metric coefficients must be finite") from None
         if not a or not b:
             raise ParamError("a_coeffs and b_coeffs must be nonempty")
         if not all(np.isfinite(c) for c in a + b):

@@ -34,13 +34,15 @@ from .diagnostics import (
 from .errors import ConfigError, ParamError, SimplexFlowError
 from .flows import (
     HERMITIAN_TOL,
-    MAX_TRAJECTORY_ENTRIES,
     NONLINEAR_TAGS,
     HamiltonianSpec,
     PhasePoint,
     Trajectory,
     _eval_complex,
+    _is_number,
     _psi_from,
+    _step_problems,
+    _steps_bound,
     check_normalization_generator,
     integrate_midpoint,
 )
@@ -156,10 +158,6 @@ class ScenarioResult:
     report_path: Path
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
 def _unknown_keys(node: dict, known: tuple[str, ...], where: str, errors: list[str]) -> None:
     """Report every key of ``node`` outside ``known``, so that a misspelled
     key is an error rather than a silently applied default."""
@@ -193,6 +191,9 @@ def _parse_complex(node, name: str, shape: tuple[int, ...], errors: list[str], r
         imag = np.asarray(node.get("imag", np.zeros_like(real)), dtype=float)
     except (TypeError, ValueError):
         errors.append(f"{name} entries must be numeric arrays")
+        return None
+    except OverflowError:  # an int too large for a float
+        errors.append(f"{name} has non-finite entries")
         return None
     if real.shape != shape:
         errors.append(f"{name}.real has shape {list(real.shape)} but n = {shape[0]}")
@@ -340,25 +341,14 @@ def config_from_dict(data, *, scenario_id: str = "scenario") -> ScenarioConfig:
         # here.  initial_node keeps the values as given.
         initial = PhasePoint(initial.rho / initial.rho_total, initial.pi)
 
-    h, steps = None, None
-    max_steps = MAX_TRAJECTORY_ENTRIES // n - 1
+    h = steps = None
     integ = data.get("integrator")
     if not isinstance(integ, dict):
         errors.append("integrator must be an object {h, steps}")
     else:
         _unknown_keys(integ, ("h", "steps"), "integrator", errors)
-        h = integ.get("h")
-        if not _is_number(h) or h <= 0:
-            errors.append(f"integrator.h must be a positive number, got {h!r}")
-            h = None
-        steps = integ.get("steps")
-        if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
-            errors.append(f"integrator.steps must be an integer >= 1, got {steps!r}")
-            steps = None
-        elif steps > max_steps:
-            errors.append(f"integrator.steps must be at most MAX_TRAJECTORY_ENTRIES / n - 1 = {max_steps} "
-                          f"at n = {n}, got {steps!r}")
-            steps = None
+        h, steps = integ.get("h"), integ.get("steps")
+        errors += [f"integrator.{problem}" for problem in _step_problems(h, steps, n)]
 
     checks: list[CheckRequest] = []
     raw_checks = data.get("checks", [])
@@ -381,6 +371,10 @@ def config_from_dict(data, *, scenario_id: str = "scenario") -> ScenarioConfig:
             if name not in CHECKS:
                 errors.append(f"unknown check {name!r}; known: {sorted(CHECKS)}")
                 continue
+            # A second request would report the check's rows twice, each against its own expectation.
+            if any(request.name == name for request in checks):
+                errors.append(f"checks[{name}] is listed more than once")
+                continue
             if name == "convergence" and spec is not None and not spec.is_pure_kernel:
                 errors.append("check 'convergence' needs a pure-kernel hamiltonian (zero linear terms and "
                               "nonlinear strength): its oracle is the unitary propagator exp(-i K tau)")
@@ -402,6 +396,9 @@ def config_from_dict(data, *, scenario_id: str = "scenario") -> ScenarioConfig:
     for label, value in (("output.trajectory", trajectory_path), ("output.report", report_path)):
         if not isinstance(value, str) or not value:
             errors.append(f"{label} must be a nonempty string")
+        # Outputs stay inside the output directory, so batch scenarios cannot share or escape it.
+        elif Path(value).is_absolute() or ".." in Path(value).parts:
+            errors.append(f"{label} must be a relative path with no '..' component, got {value!r}")
 
     conv_h = DEFAULT_CONVERGENCE_H
     conv_tau = DEFAULT_CONVERGENCE_TAU
@@ -425,11 +422,12 @@ def config_from_dict(data, *, scenario_id: str = "scenario") -> ScenarioConfig:
             else:
                 conv_tau = float(tau)
     if any(c.name == "convergence" for c in checks):
-        # A step count that is not finite is left to the run's NonFiniteError.
-        rung = max((conv_tau / h for h in conv_h if math.isfinite(conv_tau / h)), default=0.0)
-        if round(rung) > max_steps:
-            errors.append(f"convergence.h_list needs tau / h = {rung:.3g} steps, more than "
-                          f"MAX_TRAJECTORY_ENTRIES / n - 1 = {max_steps} at n = {n}")
+        # Each rung as convergence_study integrates it; a step count that is
+        # not finite is left to the run's NonFiniteError.
+        rungs = {dt: conv_tau / dt for dt in conv_h if math.isfinite(conv_tau / dt)}
+        if any(_step_problems(dt, max(1, round(rung)), n) for dt, rung in rungs.items()):
+            errors.append(f"convergence.h_list needs tau / h = {max(rungs.values()):.3g} steps, more than "
+                          f"{_steps_bound(n)}")
 
     if errors:
         raise ConfigError(errors)
@@ -480,7 +478,7 @@ def validate_config(path) -> ScenarioConfig:
         raise ConfigError([f"cannot read {path}: {exc}"]) from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer beyond the interpreter's digit limit
         raise ConfigError([f"{path.name}: invalid JSON: {exc}"]) from exc
     return config_from_dict(data, scenario_id=path.stem)
 
@@ -599,8 +597,8 @@ def _rank_two_image(psi: np.ndarray, normals: np.ndarray) -> np.ndarray:
     """U psi = a (b^H psi) + b (a^H psi) per row of ``psi`` (..., n) for the
     Hermitian U = a b^H + b a^H, where ``normals`` (..., 4, n) holds the
     real and imaginary parts of a, then those of b, and a and b are scaled
-    to unit norm.  Every vector is U psi for some Hermitian U, so the images
-    stand for any."""
+    to unit norm.  A vector w is U psi for some Hermitian U exactly when
+    <psi|w> is real, and each image keeps that: <psi|U psi> = 2 Re(<psi|a> <b|psi>)."""
     a = normals[..., 0, :] + 1j * normals[..., 1, :]
     b = normals[..., 2, :] + 1j * normals[..., 3, :]
     a /= _row_norm(a)[..., None]

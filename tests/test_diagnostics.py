@@ -527,7 +527,8 @@ class TestConvergenceStudy:
 
     def test_a_rung_above_the_entry_bound_is_rejected_before_allocation(self):
         X0 = PhasePoint([0.5, 0.5], [0.0, 0.0])
-        with pytest.raises(ValueError, match="at most MAX_TRAJECTORY_ENTRIES = "):
+        with pytest.raises(ValueError, match=r"^steps must be at most MAX_TRAJECTORY_ENTRIES / n - 1 = 16777215 "
+                                             r"at n = 2, got \d+$"):
             convergence_study(HamiltonianSpec(kernel=np.eye(2)), X0, [1e-300, 2e-300], 1.0)
 
     def test_rejects_non_kernel_specs(self):

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from simplexflow import (
     BoundaryError,
     ComplexState,
+    ConfigError,
     ConvergenceError,
     DimensionError,
     HamiltonianSpec,
@@ -20,6 +21,7 @@ from simplexflow import (
     bracket_from_gradients,
     check_normalization_generator,
     circle_difference,
+    config_from_dict,
     eval_hamiltonian,
     from_complex,
     gauge_canonicalize,
@@ -32,7 +34,14 @@ from simplexflow import (
     to_complex,
 )
 from simplexflow.diagnostics import random_hermitian, sample_interior_points
-from simplexflow.flows import MAX_TRAJECTORY_ENTRIES, _eval_complex, _field_arrays, _field_jacobian
+from simplexflow.flows import (
+    MAX_TRAJECTORY_ENTRIES,
+    MIDPOINT_MAX_SWEEPS,
+    MIDPOINT_TOL,
+    _eval_complex,
+    _field_arrays,
+    _field_jacobian,
+)
 
 from conftest import SIGMA_X, SIGMA_Z, spec_kinds
 
@@ -383,8 +392,10 @@ class TestIntegrateMidpoint:
     def test_convergence_error_with_starved_iterations(self):
         spec = HamiltonianSpec(kernel=SIGMA_X, nonlinear="quartic_psi")
         X0 = PhasePoint([0.6, 0.4], [0.3, 1.1])
-        with pytest.raises(ConvergenceError):
-            integrate_midpoint(spec, X0, 1e-2, 1, max_iter=1)
+        with pytest.raises(ConvergenceError) as excinfo:
+            integrate_midpoint(spec, X0, 1.0, 1)
+        assert str(excinfo.value) == "midpoint fixed point missed tolerance 1e-13 after 50 sweeps at step 1"
+        assert (MIDPOINT_TOL, MIDPOINT_MAX_SWEEPS) == (1e-13, 50)
         assert len(integrate_midpoint(spec, X0, 1e-2, 1)) == 2
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -413,7 +424,8 @@ class TestIntegrateMidpoint:
 
     def test_a_trajectory_above_the_entry_bound_is_rejected_before_allocation(self):
         X0 = PhasePoint([0.36, 0.64], [0.0, 0.0])
-        with pytest.raises(ValueError, match=r"at most MAX_TRAJECTORY_ENTRIES = 33554432, got \(10+ \+ 1\) \* 2$"):
+        with pytest.raises(ValueError, match=r"^steps must be at most MAX_TRAJECTORY_ENTRIES / n - 1 = 16777215 "
+                                             r"at n = 2, got 1000000000000000$"):
             integrate_midpoint(HamiltonianSpec(kernel=np.eye(2)), X0, 1e-3, 10**15)
         assert MAX_TRAJECTORY_ENTRIES == 2**25
 
@@ -497,12 +509,30 @@ class TestIntegrateMidpoint:
                 integrate_midpoint(spec, X0, -1e-3, 10)
             with pytest.raises(ValueError):
                 integrate_midpoint(spec, X0, 1e-3, 0)
-            for max_iter in (-3, 0, 2.5, np.inf, None):
-                with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
-                    integrate_midpoint(spec, X0, 1e-3, 10, max_iter=max_iter)
-            for tol in (np.nan, np.inf, -1e-13):
-                with pytest.raises(ValueError, match="tol must be finite and >= 0"):
-                    integrate_midpoint(spec, X0, 1e-3, 10, tol=tol)
+
+    @pytest.mark.parametrize("h, steps, message", [
+        (1e-3, True, "steps must be an integer >= 1, got True"),
+        (1e-3, 2.0, "steps must be an integer >= 1, got 2.0"),
+        (True, 3, "h must be a positive number, got True"),
+        (10**400, 3, f"h must be a positive number, got {10**400}"),
+        (np.nan, 0, "h must be a positive number, got nan; steps must be an integer >= 1, got 0"),
+        (1e-3, 10**15, "steps must be at most MAX_TRAJECTORY_ENTRIES / n - 1 = 16777215 at n = 2, got 1000000000000000"),
+    ], ids=["steps_true", "steps_float", "h_true", "h_beyond_float", "both", "steps_too_many"])
+    def test_the_library_refuses_what_the_config_refuses_in_its_words(self, h, steps, message):
+        X0 = PhasePoint([0.6, 0.4], [0.0, 0.0])
+        with pytest.raises(ValueError) as excinfo:
+            integrate_midpoint(HamiltonianSpec(kernel=SIGMA_X), X0, h, steps)
+        assert str(excinfo.value) == message
+        config = {"schema_version": 1, "n": 2, "hamiltonian": {"kernel": {"real": [[0.0, 1.0], [1.0, 0.0]]}},
+                  "initial_state": {"rho": [0.6, 0.4], "pi": [0.0, 0.0]}, "integrator": {"h": h, "steps": steps}}
+        with pytest.raises(ConfigError) as excinfo:
+            config_from_dict(config)
+        assert excinfo.value.errors == [f"integrator.{part}" for part in message.split("; ")]
+
+    def test_numpy_scalars_are_numbers_to_the_step_rule(self):
+        X0 = PhasePoint([0.6, 0.4], [0.0, 0.0])
+        traj = integrate_midpoint(HamiltonianSpec(kernel=SIGMA_X), X0, np.float32(0.5), np.int64(3))
+        assert len(traj) == 4 and traj.parameter_values[-1] == 1.5
 
     def test_step_map_is_symplectic(self, rng):
         # Push tangent pairs through the finite-difference Jacobian of one step.
@@ -511,7 +541,7 @@ class TestIntegrateMidpoint:
         h, delta = 1e-2, 1e-5
 
         def step(x):
-            traj = integrate_midpoint(spec, PhasePoint(x[:2], x[2:]), h, 1, tol=1e-14)
+            traj = integrate_midpoint(spec, PhasePoint(x[:2], x[2:]), h, 1)
             return traj.point(-1).coordinates
 
         jac = np.empty((4, 4))

@@ -870,7 +870,10 @@ class TestCli:
         ({"checks": ["convergence"], "convergence": {"h_list": [1e-300, 2e-300], "tau": 1.0}}, "convergence.h_list"),
         ({"checks": ["convergence"], "convergence": {"h_list": [1e-3]}}, "convergence.h_list"),
         ({"checks": ["convergence"], "convergence": {"h_list": [1e-3, 1e-3]}}, "convergence.h_list"),
-    ], ids=["steps_too_many", "rung_too_long", "one_step_size", "repeated_step_size"])
+        ({"checks": ["realness", {"name": "realness", "expect_pass": False}]}, "checks[realness]"),
+        ({"checks": ["metric", "normalization", "metric"]}, "checks[metric]"),
+    ], ids=["steps_too_many", "rung_too_long", "one_step_size", "repeated_step_size", "check_expected_both_ways",
+            "check_listed_twice"])
     def test_configs_no_run_can_honour_are_config_errors(self, command, overrides, field, tmp_path):
         # Each would otherwise fail to allocate its trajectory or report a
         # convergence row with nothing to fit.
@@ -880,6 +883,58 @@ class TestCli:
         assert result.exit_code == 2, result.output
         assert f"{field} " in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"integrator": {"h": 10**400, "steps": 200}}, "integrator.h must be a positive number"),
+        ({"metric_params": {"a_coeffs": [10**400]}}, "metric_params: metric coefficients must be finite"),
+        ({"hamiltonian": {"kernel": {"real": [[0, 10**400], [10**400, 0]]}}}, "hamiltonian.kernel has non-finite"),
+        ({"hamiltonian": {"kernel": {"real": [[0, 1], [1, 0]]}, "nonlinear": {"tag": "quartic_psi",
+                                                                              "strength": 10**400}}},
+         "hamiltonian.nonlinear.strength must be a finite number"),
+        ({"hamiltonian": {"kernel": {"real": [[0, 1], [1, 0]]}, "constant": 10**400}},
+         "hamiltonian.constant must be a finite number"),
+        ({"initial_state": {"rho": [0.5, 0.5], "pi": [0, 10**400]}}, "initial_state.pi must be a list of finite"),
+        ({"convergence": {"tau": 10**400}}, "convergence.tau must be a positive number"),
+        ({"convergence": {"h_list": [1e-3, 10**400]}}, "convergence.h_list must be a list of positive numbers"),
+        ({"seed": "9" * 5000}, "a.json: invalid JSON: "),
+    ], ids=["h", "a_coeffs", "kernel", "strength", "constant", "pi", "tau", "h_list", "beyond_the_digit_limit"])
+    def test_an_integer_too_large_for_a_float_is_a_config_error(self, overrides, message, tmp_path):
+        # The file after it still runs: batch goes on past a config error.
+        # A string of digits is written as a bare JSON integer, so that it can
+        # pass the interpreter's digit limit on integer conversion.
+        scenarios = tmp_path / "scenarios"
+        scenarios.mkdir()
+        text = json.dumps(qubit_config(**overrides))
+        (scenarios / "a.json").write_text(re.sub(r'"(\d+)"', r"\1", text))
+        self.write(scenarios, "b.json")
+        out = tmp_path / "out"
+        result = invoke(["batch", str(scenarios), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"a: config error: {message}" in result.output
+        assert "b: ok" in result.output and (out / "b" / "qubit_report.json").exists()
+        assert not (out / "a").exists()
+
+    def test_outputs_outside_the_output_directory_are_config_errors(self, tmp_path):
+        # Without the rule both files would print ok: one CSV above --out, shared
+        # and overwritten, and reports outside it.
+        scenarios = tmp_path / "scenarios"
+        scenarios.mkdir()
+        for name in ("a", "b"):
+            self.write(scenarios, f"{name}.json", id=name, output={
+                "trajectory": "../shared_trajectory.csv", "report": str(tmp_path / "abs" / f"{name}_report.json")})
+        self.write(scenarios, "c.json", id="../escape")
+        out = tmp_path / "out"
+        result = invoke(["batch", str(scenarios), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        for name, trajectory, report in (("a", "../shared_trajectory.csv", str(tmp_path / "abs" / "a_report.json")),
+                                         ("b", "../shared_trajectory.csv", str(tmp_path / "abs" / "b_report.json")),
+                                         ("c", "../escape_trajectory.csv", "../escape_report.json")):
+            assert (f"{name}: config error: output.trajectory must be a relative path with no '..' component, "
+                    f"got {trajectory!r}") in result.output
+            assert (f"{name}: config error: output.report must be a relative path with no '..' component, "
+                    f"got {report!r}") in result.output
+        assert sorted(path.relative_to(tmp_path).as_posix() for path in tmp_path.rglob("*")) == [
+            "scenarios", "scenarios/a.json", "scenarios/b.json", "scenarios/c.json"]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("overrides, check", [
