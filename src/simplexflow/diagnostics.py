@@ -21,7 +21,7 @@ from .errors import NonFiniteError, NormalizationError, ParamError
 from .flows import (
     HamiltonianSpec,
     PhasePoint,
-    _field_arrays,
+    _grad_arrays,
     _psi_from,
     integrate_midpoint,
 )
@@ -138,7 +138,7 @@ def lie_derivative_metric(
     G = phase_space_metric(X.rho, params)
     parts = _metric_parts(X.rho, params)
     jac = spec._jacobian_at(X)
-    v_rho, _ = _field_arrays(spec, X.rho, X.pi)
+    _, v_rho = _grad_arrays(spec, X.rho, X.pi)  # drho/dtau = dH/dpi
     dg, dg_inv = _metric_blocks_derivative(X.rho, v_rho, params, parts, G[n:, n:])
     S = np.hstack((_times_metric(jac[:n].T, parts), _times_metric_inverse(jac[n:].T, parts)))
     residual = S + S.T

@@ -3,12 +3,11 @@
 A Hamiltonian is specified by a complex bilinear kernel acting through the
 complex chart psi_i = sqrt(rho_i) exp(i pi_i), optional linear terms, a
 constant, and an optional nonlinear perturbation from a small catalog.  The
-value is evaluated from the spec as given.  Every derivative reads the
-spec's psi-form (K, b, s), with dH/dconj(psi) = K psi + b + s |psi|^2 psi
-for the real part H of the value: the gradient, the flow field and its
-Jacobian follow from q = conj(psi) (K psi + b) + s rho^2 through the chart
-rule, and the integrator steps dpsi/dtau = -i (K psi + b + s |psi|^2 psi)
-directly, so no automatic differentiation is involved.
+value is evaluated from the spec as given.  `_psi_field` reads the spec's psi-form
+(K, b, s) for w = dH/dconj(psi) = K psi + b + s |psi|^2 psi, H the real part of the
+value, and its two Wirtinger derivatives.  One chart transform, which reads no K, b
+or s, makes the gradient, the flow field and its Jacobian of them; the integrator
+steps dpsi/dtau = -i w directly.  No automatic differentiation is involved.
 
 Flows are integrated with the implicit midpoint rule in the chart psi.  The
 chart is canonical, so the step is symplectic in (rho, pi) as well; it conserves
@@ -356,59 +355,59 @@ def _eval_complex(spec: HamiltonianSpec, rho: np.ndarray, pi: np.ndarray) -> com
     return complex(_values(spec, _psi_from(rho, pi), rho))
 
 
-def _grad_arrays(spec: HamiltonianSpec, rho: np.ndarray, pi: np.ndarray):
-    """(dH/drho, dH/dpi) = (Re q / rho, 2 Im q) of the real part H of the
-    Hamiltonian, with q = conj(psi) (K psi + b) + s rho^2 from the psi-form.
-    Requires the interior.
-    """
+def _psi_field(spec: HamiltonianSpec, rho: np.ndarray, pi: np.ndarray):
+    """(psi, w, K, 2 s rho, s psi^2) at the interior point (rho, pi): w = dH/dconj(psi) =
+    K psi + b + s rho psi from the psi-form (K, b, s) and its Wirtinger derivatives
+    dw/dpsi = K + diag(2 s rho) and dw/dconj(psi) = diag(s psi^2), the diagonals as n-vectors."""
     require_interior(rho)
     _check_dim(spec, rho.size)
     K, b, s = spec.psi_form
     psi = _psi_from(rho, pi)
-    return _chart_gradient(psi, rho, K @ psi + b, s)
+    return psi, K @ psi + b + s * rho * psi, K, 2.0 * s * rho, s * psi * psi
 
 
-def _chart_gradient(psi: np.ndarray, rho: np.ndarray, f, s: float):
-    """(Re q / rho, 2 Im q) for q = conj(psi) f + s rho^2, elementwise.  q is
-    formed in real arithmetic, so a fused multiply-add cannot leave a rounding
-    residue where the products cancel exactly."""
-    re_q = psi.real * np.real(f) + psi.imag * np.imag(f) + s * rho * rho
-    im_q = psi.real * np.imag(f) - psi.imag * np.real(f)
-    return re_q / rho, 2.0 * im_q
-
-
-def _field_arrays(spec: HamiltonianSpec, rho: np.ndarray, pi: np.ndarray):
-    """Hamilton's equations: (drho/dtau, dpi/dtau) = (dH/dpi, -dH/drho)."""
-    dr, dp = _grad_arrays(spec, rho, pi)
-    return dp, -dr
+def _grad_arrays(spec: HamiltonianSpec, rho: np.ndarray, pi: np.ndarray):
+    """(dH/drho, dH/dpi) of the real part H of the Hamiltonian.  Requires the interior."""
+    psi, w, *_ = _psi_field(spec, rho, pi)
+    return _chart_gradient(psi, rho, w)
 
 
 def _field_jacobian(spec: HamiltonianSpec, rho: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """Jacobian DV[a, b] = dV_a / dx_b of the flow field V = (2 Im q, -Re q / rho).
+    """Jacobian of the flow field of ``spec`` at (rho, pi).  Requires the interior."""
+    psi, *derivatives = _psi_field(spec, rho, pi)
+    return _chart_jacobian(psi, rho, *derivatives)
 
-    With m_ab = conj(psi_a) K_ab psi_b and p = q - s rho^2, the chart rule
-    dpsi/drho = psi / (2 rho), dpsi/dpi = i psi gives
-    dq_a/drho_c = m_ac / (2 rho_c) + delta_ac (p_a / (2 rho_a) + 2 s rho_a) and
-    dq_a/dpi_c = i m_ac - i delta_ac p_a.  Each block is the derivative of its
-    own field component, not a block of one symmetric Hessian, so the
-    symmetry the symplectic residual compares is measured, not assumed.
-    Requires the interior.
-    """
-    require_interior(rho)
-    _check_dim(spec, rho.size)
-    K, b, s = spec.psi_form
-    n = rho.size
-    psi = _psi_from(rho, pi)
-    diag = np.diag_indices(n)
-    m = np.conj(psi)[:, None] * K * psi
-    p = m.sum(axis=1) + np.conj(psi) * b
+
+def _chart_gradient(psi: np.ndarray, rho: np.ndarray, w):
+    """(Re q / rho, 2 Im q), q = conj(psi) w: the chart gradient of a real H with dH/dconj(psi) = w.
+    q is formed in real arithmetic, so a fused multiply-add leaves no residue where products cancel."""
+    re_q = psi.real * w.real + psi.imag * w.imag
+    im_q = psi.real * w.imag - psi.imag * w.real
+    return re_q / rho, 2.0 * im_q
+
+
+def _chart_jacobian(psi: np.ndarray, rho: np.ndarray, w, dw_dpsi, dpsi_diag, dconj_diag) -> np.ndarray:
+    """Jacobian DV[a, c] = dV_a / dx_c of the field V = (2 Im q, -Re q / rho), q = conj(psi) w,
+    for a psi-field w with dw/dpsi = dw_dpsi + diag(dpsi_diag) and dw/dconj(psi) = diag(dconj_diag).
+    With m_ac = conj(psi_a) (dw/dpsi)_ac psi_c and e_a = q_a + conj(psi_a)^2 dconj_diag_a, the chart
+    rule gives dq_a/drho_c = (m_ac + delta_ac e_a) / (2 rho_c) and dq_a/dpi_c = i (m_ac - delta_ac e_a).
+    Each block differentiates its own field component, so the symplectic residual measures symmetry."""
+    n, diag = rho.size, np.diag_indices(rho.size)
+    conj_psi = np.conj(psi)
+    q = conj_psi * w
+    e = q + conj_psi * conj_psi * dconj_diag
+    m = conj_psi[:, None] * dw_dpsi * psi
+    m[diag] += dpsi_diag * _weights(psi)
     q_rho = m * (0.5 / rho)
-    q_rho[diag] += p * (0.5 / rho) + 2.0 * s * rho
-    q_pi = 1j * m
-    q_pi[diag] -= 1j * p
-    dr_rho = q_rho.real / rho[:, None]  # d(Re q_a / rho_a) / drho_c
-    dr_rho[diag] -= (p.real + s * rho * rho) / rho**2
-    return np.block([[2.0 * q_rho.imag, 2.0 * q_pi.imag], [-dr_rho, -q_pi.real / rho[:, None]]])
+    q_rho[diag] += e * (0.5 / rho)
+    m[diag] -= e  # dq/dpi = i m, so Im dq/dpi = Re m and Re dq/dpi = -Im m
+    jac = np.empty((2 * n, 2 * n))
+    np.multiply(q_rho.imag, 2.0, out=jac[:n, :n])
+    np.multiply(m.real, 2.0, out=jac[:n, n:])
+    np.divide(q_rho.real, -rho[:, None], out=jac[n:, :n])
+    jac[n:, :n][diag] += q.real / rho**2
+    np.divide(m.imag, rho[:, None], out=jac[n:, n:])
+    return jac
 
 
 def eval_hamiltonian(spec: HamiltonianSpec, X: PhasePoint) -> tuple[float, float]:
@@ -435,7 +434,8 @@ def gradient(spec: HamiltonianSpec, X: PhasePoint) -> tuple[np.ndarray, np.ndarr
 def hamiltonian_vector_field(spec: HamiltonianSpec, X: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
     """The flow field (drho/dtau, dpi/dtau) = (dH/dpi, -dH/drho) at X."""
     spec.require_valid_real()
-    return _field_arrays(spec, X.rho, X.pi)
+    dr, dp = _grad_arrays(spec, X.rho, X.pi)
+    return dp, -dr
 
 
 def bracket_from_gradients(grad_a, grad_b) -> float:

@@ -215,17 +215,17 @@ def _metric_blocks_derivative(
     delta = (B'(s) ds - B(s) drho / rho) / (2 rho) and alpha = A'(s) ds, and
     d(g^{-1}) = -g^{-1} dg g^{-1}, formed in O(n^2): the diagonal part is
     `_times_metric_inverse` of g^{-1} diag(delta), a column scaling of
-    g^{-1}, and the rank-one part is alpha (g^{-1} n)(g^{-1} n)^T, skipped
-    when alpha = 0.
+    g^{-1}, and the rank-one part is alpha (g^{-1} n)(g^{-1} n)^T.  Both
+    rank-one parts are skipped when alpha = 0.
     """
     s = float(rho.sum())
     ds = float(drho.sum())
     delta = (_polyslope(params.b_coeffs, s) * ds - params.b_value(s) * drho / rho) / (2.0 * rho)
     alpha = _polyslope(params.a_coeffs, s) * ds
     dg = np.diag(delta)
-    dg += alpha
     dg_inv = _times_metric_inverse(g_inv * -delta, parts)
     if alpha != 0.0:
+        dg += alpha
         e = g_inv.sum(axis=1)
         dg_inv -= np.outer(alpha * e, e)
     return dg, dg_inv

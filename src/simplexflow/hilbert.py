@@ -119,5 +119,5 @@ def commutator_identity_check(u_psi, v_psi, psi):
     v_psi = as_rows(v_psi, "v_psi", psi.shape, dtype=complex)
     rho = _weights(psi)
     require_interior(rho)
-    (dr_u, dp_u), (dr_v, dp_v) = (_chart_gradient(psi, rho, w, 0.0) for w in (u_psi, v_psi))
+    (dr_u, dp_u), (dr_v, dp_v) = (_chart_gradient(psi, rho, w) for w in (u_psi, v_psi))
     return _row_dot(dr_u, dp_v) - _row_dot(dp_u, dr_v), 2.0 * _row_dot(u_psi.conj(), v_psi).imag

@@ -393,12 +393,21 @@ def config_from_dict(data, *, scenario_id: str = "scenario") -> ScenarioConfig:
     _unknown_keys(output, ("trajectory", "report"), "output", errors)
     trajectory_path = output.get("trajectory", f"{sid}_trajectory.csv")
     report_path = output.get("report", f"{sid}_report.json")
+    paths = []
     for label, value in (("output.trajectory", trajectory_path), ("output.report", report_path)):
         if not isinstance(value, str) or not value:
             errors.append(f"{label} must be a nonempty string")
         # Outputs stay inside the output directory, so batch scenarios cannot share or escape it.
         elif Path(value).is_absolute() or ".." in Path(value).parts:
             errors.append(f"{label} must be a relative path with no '..' component, got {value!r}")
+        elif "\0" in value:  # no file system accepts it, so the run would fail at write time
+            errors.append(f"{label} must not contain a NUL character, got {value!r}")
+        else:
+            paths.append(Path(value))
+    # Compared as paths, so that 'x.out' and './x.out' are one file and the report cannot overwrite the CSV.
+    if len(paths) == 2 and paths[0] == paths[1]:
+        errors.append(f"output.trajectory and output.report must be different paths, got {trajectory_path!r} "
+                      f"and {report_path!r}")
 
     conv_h = DEFAULT_CONVERGENCE_H
     conv_tau = DEFAULT_CONVERGENCE_TAU

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from simplexflow import HamiltonianSpec
+from simplexflow import HamiltonianSpec, PhasePoint, hamiltonian_vector_field
 from simplexflow.diagnostics import random_hermitian
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -22,6 +22,11 @@ def spec_kinds(n, rng):
                                             nonlinear_strength=0.7)),
         ("quartic_psi", HamiltonianSpec(kernel=kernel, nonlinear="quartic_psi", nonlinear_strength=1.3)),
     ]
+
+
+def spec_field(spec):
+    """The flow field of ``spec`` as a function of the 2n coordinates (rho, pi)."""
+    return lambda x: np.concatenate(hamiltonian_vector_field(spec, PhasePoint(*np.split(x, 2))))
 
 
 def lie_derivative(field_fn, tensor_fn, x, fd_step: float = 1e-4, *, richardson: bool = True) -> np.ndarray:

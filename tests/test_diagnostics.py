@@ -25,6 +25,7 @@ from simplexflow import (
     embedding_length,
     from_complex,
     fs_consistency,
+    hamiltonian_vector_field,
     induced_metric_ts,
     inner_product,
     lie_derivative_metric,
@@ -34,21 +35,13 @@ from simplexflow import (
     to_complex,
 )
 from simplexflow.diagnostics import random_hermitian, sample_interior_points
-from simplexflow.flows import _field_arrays, _field_jacobian
+from simplexflow.flows import _field_jacobian
 from simplexflow.geometry import NORM_TOL, _metric_blocks, _metric_blocks_derivative, _metric_parts
 from simplexflow.scenario import CONVERGENCE_EXACT_TOL, CONVERGENCE_ORDER_TOL
 
-from conftest import SIGMA_X, SIGMA_Z, lie_derivative, spec_kinds
+from conftest import SIGMA_X, SIGMA_Z, lie_derivative, spec_field, spec_kinds
 
 CONTROL = HamiltonianSpec(kernel=np.zeros((2, 2)), nonlinear="sum_rho_squared")
-
-
-def spec_field(spec, n):
-    """The flow field of ``spec`` as a function of the 2n coordinates."""
-    def field(x):
-        return np.concatenate(_field_arrays(spec, x[:n], x[n:]))
-
-    return field
 
 
 def fs_ratio_oracle(rho, pi, drho, dpi, eps):
@@ -104,7 +97,7 @@ class TestLieDerivativeMetric:
     def test_fd_step_bounds(self):
         # The finite-difference oracle owns the step check; the closed forms have no step.
         x = PhasePoint([0.5, 0.5], [0.0, 0.0]).coordinates
-        field = spec_field(CONTROL, 2)
+        field = spec_field(CONTROL)
         with pytest.raises(ValueError):
             lie_derivative(field, lambda y: phase_space_metric(y[:2]), x, fd_step=1e-7)
         with pytest.raises(ValueError):
@@ -114,7 +107,7 @@ class TestLieDerivativeMetric:
     def test_matches_finite_difference_oracle(self, n, rng):
         point = sample_interior_points(n, 1, rng=rng, include_barycenter=False)[0]
         for label, spec in spec_kinds(n, rng):
-            field = spec_field(spec, n)
+            field = spec_field(spec)
             for params in DEFAULT_PARAM_FAMILIES:
                 exact = lie_derivative_metric(spec, point, params=params)
                 oracle = lie_derivative(field, lambda y: phase_space_metric(y[:n], params),
@@ -143,7 +136,7 @@ def dense_lie_derivatives(spec, X, params):
     jac = _field_jacobian(spec, X.rho, X.pi)
     omega = symplectic_matrix(n)
     G = phase_space_metric(X.rho, params)
-    v_rho, _ = _field_arrays(spec, X.rho, X.pi)
+    v_rho, _ = hamiltonian_vector_field(spec, X)
     dg, dg_inv = _metric_blocks_derivative(X.rho, v_rho, params, _metric_parts(X.rho, params), G[n:, n:])
     metric = jac.T @ G + G @ jac
     metric[:n, :n] += dg

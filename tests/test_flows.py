@@ -38,12 +38,12 @@ from simplexflow.flows import (
     MAX_TRAJECTORY_ENTRIES,
     MIDPOINT_MAX_SWEEPS,
     MIDPOINT_TOL,
+    _chart_jacobian,
     _eval_complex,
-    _field_arrays,
     _field_jacobian,
 )
 
-from conftest import SIGMA_X, SIGMA_Z, spec_kinds
+from conftest import SIGMA_X, SIGMA_Z, spec_field, spec_kinds
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -244,18 +244,16 @@ class TestVectorField:
             )
 
 
-def fd_field_jacobian(spec, X, rel_step=1e-6):
-    """Independent oracle: central differences of the field, with each rho
-    step taken relative to rho_i so that the 1/rho terms stay resolved."""
-    n = X.n
-    x = X.coordinates
+def fd_field_jacobian(field, x, rel_step=1e-6):
+    """Independent oracle: central differences of ``field`` at the 2n
+    coordinates x = (rho, pi), with each rho step taken relative to rho_i so
+    that the 1/rho terms stay resolved."""
+    n = x.size // 2
     columns = []
     for c in range(2 * n):
         e = np.zeros(2 * n)
         e[c] = rel_step * (x[c] if c < n else 1.0)
-        plus = np.concatenate(_field_arrays(spec, (x + e)[:n], (x + e)[n:]))
-        minus = np.concatenate(_field_arrays(spec, (x - e)[:n], (x - e)[n:]))
-        columns.append((plus - minus) / (2.0 * e[c]))
+        columns.append((field(x + e) - field(x - e)) / (2.0 * e[c]))
     return np.stack(columns, axis=1)
 
 
@@ -267,9 +265,30 @@ class TestFieldJacobian:
         for point in sample_interior_points(n, 2, rng=rng):
             for label, spec in spec_kinds(n, rng) + [nonlinear_only]:
                 exact = _field_jacobian(spec, point.rho, point.pi)
-                oracle = fd_field_jacobian(spec, point)
+                oracle = fd_field_jacobian(spec_field(spec), point.coordinates)
                 error = np.max(np.abs(exact - oracle)) / np.max(np.abs(oracle))
                 assert error <= 1e-7, (label, error)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_transform_of_a_field_that_is_not_a_hamiltonians(self, n, rng):
+        # w = A psi + c conj(psi) with A not Hermitian: dw/dpsi = A and
+        # dw/dconj(psi) = diag(c), so the chain rule is pinned apart from any spec.
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+        def field(x):
+            """V = (2 Im q, -Re q / rho) for q = conj(psi) w, written out."""
+            rho, pi = np.split(x, 2)
+            psi = np.sqrt(rho) * np.exp(1j * pi)
+            q = np.conj(psi) * (A @ psi + c * np.conj(psi))
+            return np.concatenate([2.0 * q.imag, -q.real / rho])
+
+        for point in sample_interior_points(n, 2, rng=rng):
+            psi = np.sqrt(point.rho) * np.exp(1j * point.pi)
+            exact = _chart_jacobian(psi, point.rho, A @ psi + c * np.conj(psi), A, np.zeros(n), c)
+            oracle = fd_field_jacobian(field, point.coordinates)
+            error = np.max(np.abs(exact - oracle)) / np.max(np.abs(oracle))
+            assert error <= 1e-7, error
 
 
 class TestPoissonBracket:
@@ -438,7 +457,7 @@ class TestIntegrateMidpoint:
             X0 = sample_interior_points(n, 1, rng=rng, include_barycenter=False)[0]
             psi0, psi1 = integrate_midpoint(spec, X0, h, 1).psi
             mid, _ = from_complex(ComplexState(0.5 * (psi0 + psi1)))
-            fr, fp = _field_arrays(spec, mid.rho, mid.pi)
+            fr, fp = hamiltonian_vector_field(spec, mid)
             field = 0.5 * (psi0 + psi1) * (fr / (2 * mid.rho) + 1j * fp)
             assert np.max(np.abs((psi1 - psi0) / h - field)) <= 1e-12, label
 
@@ -461,7 +480,7 @@ class TestIntegrateMidpoint:
             psi = integrate_midpoint(spec, X0, h, 12).psi
             for k, (psi0, psi1) in enumerate(zip(psi[:-1], psi[1:])):
                 mid, _ = from_complex(ComplexState(0.5 * (psi0 + psi1)))
-                fr, fp = _field_arrays(spec, mid.rho, mid.pi)
+                fr, fp = hamiltonian_vector_field(spec, mid)
                 field = 0.5 * (psi0 + psi1) * (fr / (2 * mid.rho) + 1j * fp)
                 assert np.max(np.abs((psi1 - psi0) / h - field)) <= 1e-12, (label, k)
 

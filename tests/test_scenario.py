@@ -936,6 +936,37 @@ class TestCli:
         assert sorted(path.relative_to(tmp_path).as_posix() for path in tmp_path.rglob("*")) == [
             "scenarios", "scenarios/a.json", "scenarios/b.json", "scenarios/c.json"]
 
+    @pytest.mark.parametrize("trajectory, report", [("x.out", "x.out"), ("./x.out", "x.out"),
+                                                    ("sub/x.out", "sub//./x.out")])
+    def test_one_path_for_both_outputs_is_a_config_error(self, trajectory, report, tmp_path):
+        # Without the rule the run exits 0 and the report overwrites the CSV.
+        path = self.write(tmp_path, output={"trajectory": trajectory, "report": report})
+        for args in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+            result = invoke(args)
+            assert result.exit_code == 2, result.output
+            assert (f"output.trajectory and output.report must be different paths, got {trajectory!r} "
+                    f"and {report!r}") in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_a_nul_character_in_an_output_path_is_a_config_error(self, tmp_path):
+        # Without the rule the file validates, and batch dies at write time with
+        # ValueError before it runs the files after it.
+        scenarios = tmp_path / "scenarios"
+        scenarios.mkdir()
+        self.write(scenarios, "a.json", id="a\u0000b")
+        self.write(scenarios, "b.json", output={"trajectory": "t\u0000.csv"})
+        self.write(scenarios, "ok.json")
+        out = tmp_path / "out"
+        result = invoke(["batch", str(scenarios), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        for name, label, value in (("a", "output.trajectory", "a\x00b_trajectory.csv"),
+                                   ("a", "output.report", "a\x00b_report.json"),
+                                   ("b", "output.trajectory", "t\x00.csv")):
+            assert f"{name}: config error: {label} must not contain a NUL character, got {value!r}" in result.output
+        assert "b: config error: output.report" not in result.output
+        assert "ok: ok" in result.output
+        assert sorted(path.name for path in out.rglob("*")) == ["ok", "qubit_report.json", "qubit_trajectory.csv"]
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("overrides, check", [
         ({"integrator": {"h": 1e308, "steps": 3}}, None),
