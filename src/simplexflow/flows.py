@@ -56,10 +56,19 @@ NONLINEAR_TAGS = ("none", "sum_rho_squared", "quartic_psi")
 #: clause of the step rule `_step_problems`, which `integrate_midpoint` and
 #: the config (`integrator.steps` and each `convergence` rung) apply.  At 16
 #: bytes per complex entry, one complex (steps + 1) x n array takes at most
-#: 512 MiB.  An integration's peak RSS is about 7.5 such arrays (measured at
-#: n = 128 for 2,000 to 16,000 steps), so about 3.8 GiB at the bound; the
-#: largest benchmark run has 64,128 entries.
+#: 512 MiB.  An integration's peak RSS grows by about 1.6 such arrays, psi
+#: and the momenta (measured in a fresh process at n = 128 for 2,000 and
+#: 16,000 steps), so about 0.8 GiB at the bound; the largest benchmark run
+#: has 64,128 entries.
 MAX_TRAJECTORY_ENTRIES = 2**25
+
+#: State entries per block of the pass that turns the integrated eigenbasis
+#: rows into psi, their defects and momenta.  A block has
+#: max(2, BLOCK_ENTRIES // n) rows, so each of its complex temporaries takes
+#: at most 64 KiB, under glibc's 128 KiB mmap threshold.  A block never has
+#: one row: a one-row product takes the matrix-vector path, whose rounding
+#: differs from that of the same row in a matrix product.
+BLOCK_ENTRIES = 4096
 
 #: Fixed-point update at which the nonlinear midpoint solve stops, and the
 #: sweeps one step may take before ConvergenceError.
@@ -272,6 +281,8 @@ class Trajectory:
     phase increment of psi to the previous row, and a component with
     |psi_i| < PHASE_FLOOR keeps its last value.  ``sweeps`` counts the
     fixed-point sweeps of each step (zeros when omitted, and for affine steps).
+    The arrays are copied into write-protected ones, so a caller's later
+    writes do not reach the trajectory.
     """
 
     parameter_values: np.ndarray  # (m,)
@@ -281,7 +292,7 @@ class Trajectory:
     energy_defects: np.ndarray    # |H(X_k) - H(X_0)| per sample
     sweeps: np.ndarray | None = None  # (m - 1,) int, per step
 
-    def __post_init__(self):
+    def __post_init__(self, adopt=False):
         taus = as_vector(self.parameter_values, "parameter_values")
         psi = np.asarray(self.psi, dtype=complex)
         pi = np.asarray(self.pi, dtype=float)
@@ -290,6 +301,10 @@ class Trajectory:
         if psi.ndim != 2 or psi.shape != pi.shape:
             raise DimensionError(f"psi {psi.shape} and pi {pi.shape} must be equal (m, n) arrays")
         sweeps = np.zeros(taus.size - 1, dtype=int) if self.sweeps is None else np.asarray(self.sweeps)
+        if sweeps.ndim != 1:
+            raise DimensionError(f"sweeps must be a 1-d array, got shape {sweeps.shape}")
+        if sweeps.size and not (np.issubdtype(sweeps.dtype, np.integer) and sweeps.min() >= 0):
+            raise ValueError(f"sweeps must be nonnegative integers, got {sweeps!r}")
         if not (psi.shape[0] == taus.size == norms.size == energies.size == sweeps.size + 1):
             raise DimensionError("trajectory fields have mismatched lengths")
         if taus.size > 1 and np.min(np.diff(taus)) <= 0.0:
@@ -298,11 +313,20 @@ class Trajectory:
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{name} has non-finite entries")
         object.__setattr__(self, "parameter_values", readonly(taus))
-        object.__setattr__(self, "psi", readonly(psi, dtype=complex))
-        object.__setattr__(self, "pi", readonly(pi))
+        object.__setattr__(self, "psi", psi if adopt else readonly(psi, dtype=complex))
+        object.__setattr__(self, "pi", pi if adopt else readonly(pi))
         object.__setattr__(self, "norm_defects", readonly(norms))
         object.__setattr__(self, "energy_defects", readonly(energies))
         object.__setattr__(self, "sweeps", readonly(sweeps, dtype=int))
+
+    @classmethod
+    def _adopt(cls, **fields) -> "Trajectory":
+        """The trajectory of the integrator's own write-protected psi and pi, which no
+        caller holds, kept uncopied; every field is validated as usual and the others copied."""
+        trajectory = cls.__new__(cls)
+        trajectory.__dict__.update(fields)
+        trajectory.__post_init__(adopt=True)
+        return trajectory
 
     def __len__(self) -> int:
         return self.parameter_values.size
@@ -604,40 +628,73 @@ def integrate_midpoint(spec: HamiltonianSpec, X0: PhasePoint, h: float, steps: i
             sweeps[k] = sweep
             np.subtract(z, affine, kicks[k % 4])
             np.copyto(affine, z)
-        psi = phi @ V.T
-        psi[0] = psi0
-        rho = _weights(psi)
-        energy = _values(spec, psi, rho).real
-        norm_defects = np.abs(rho.sum(axis=1) - 1.0)
+        # psi = V phi overwrites phi block by block, each block with its defects.
+        psi, energy, norm_defects = phi, np.empty(steps + 1), np.empty(steps + 1)
+        for rows in _row_blocks(steps + 1, n):
+            block = psi[rows]
+            block[...] = block @ V.T
+            if rows.start == 0:
+                block[0] = psi0
+            rho = _weights(block)
+            norm_defects[rows] = np.abs(rho.sum(axis=1) - 1.0)
+            energy[rows] = _values(spec, block, rho).real
         energy_defects = np.abs(energy - energy[0])
     # A non-finite psi makes its norm defect non-finite too.
     finite = np.isfinite(norm_defects) & np.isfinite(energy_defects)
     if not finite.all():
         raise NonFiniteError(f"midpoint state is not finite at step {int(np.argmin(finite))}")
-    return Trajectory(
+    pi = _continuous_phase(psi, X0.pi)
+    psi.setflags(write=False)
+    pi.setflags(write=False)
+    return Trajectory._adopt(
         parameter_values=np.arange(steps + 1) * h,
         psi=psi,
-        pi=_continuous_phase(psi, X0.pi),
+        pi=pi,
         norm_defects=norm_defects,
         energy_defects=energy_defects,
         sweeps=sweeps,
     )
 
 
-def _continuous_phase(psi: np.ndarray, pi0: np.ndarray) -> np.ndarray:
-    """Momenta along the rows of ``psi``, continuous from ``pi0``.
+def _row_blocks(m: int, n: int) -> list[slice]:
+    """The rows of an m x n state array in blocks of max(2, BLOCK_ENTRIES // n)
+    rows; a one-row tail joins the block before it."""
+    starts = list(range(0, m, max(2, BLOCK_ENTRIES // n)))
+    if len(starts) > 1 and m - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [m])]
 
-    Each row is arg(psi) moved by a multiple of 2 pi to within pi of the row
-    before; a component with |psi_i| < PHASE_FLOOR has no phase and keeps
-    its last value.
+
+def _continuous_phase(psi: np.ndarray, pi0: np.ndarray) -> np.ndarray:
+    """Momenta along the rows of ``psi``, continuous from ``pi0`` in row 0.
+
+    Each later row is arg(psi) moved by a multiple of 2 pi to within pi of
+    the row before; a component with |psi_i| < PHASE_FLOOR has no phase and
+    keeps its last value.  The rows are walked in the blocks of
+    `_row_blocks`, each component's held phase and np.unwrap's running
+    correction, whose arithmetic is repeated here, carried across block edges.
     """
-    phase = np.angle(psi)
-    phase[0] = pi0
-    # Row of the latest sample with a defined phase, per component; row 0
-    # holds pi0, so it serves where no phase has been defined yet.
-    rows = np.where(np.abs(psi) >= PHASE_FLOOR, np.arange(psi.shape[0])[:, None], 0)
-    np.maximum.accumulate(rows, axis=0, out=rows)
-    return np.unwrap(np.take_along_axis(phase, rows, axis=0), axis=0)
+    pi = np.empty(psi.shape)
+    pi[0] = pi0
+    held, correction = pi[0], 0.0
+    for rows in _row_blocks(*psi.shape):
+        rows = slice(max(rows.start, 1), rows.stop)
+        block = psi[rows]
+        # Each row takes the phase of the latest row, itself included, where
+        # it is defined; row 0 of `phase` is the one held before the block.
+        phase = np.vstack([held, np.angle(block)])
+        latest = np.where(np.abs(block) >= PHASE_FLOOR, np.arange(1, phase.shape[0])[:, None], 0)
+        phase = np.take_along_axis(phase, np.maximum.accumulate(latest, axis=0), axis=0)
+        jump = np.diff(phase, axis=0, prepend=[held])
+        fix = np.mod(jump + np.pi, TWO_PI) - np.pi
+        np.copyto(fix, np.pi, where=(fix == -np.pi) & (jump > 0))
+        fix -= jump
+        np.copyto(fix, 0.0, where=np.abs(jump) < np.pi)
+        fix[0] += correction
+        np.cumsum(fix, axis=0, out=fix)
+        np.add(phase, fix, out=pi[rows])
+        held, correction = phase[-1], fix[-1]
+    return pi
 
 
 def gauge_canonicalize(X: PhasePoint) -> PhasePoint:

@@ -178,9 +178,16 @@ def _metric_parts(rho: np.ndarray, params: MetricParams) -> tuple[np.ndarray, fl
 
 
 def _metric_blocks(parts) -> tuple[np.ndarray, np.ndarray]:
-    """(g, g^{-1}) as dense matrices, from ``parts`` = `_metric_parts`."""
+    """(g, g^{-1}) as dense matrices, from ``parts`` = `_metric_parts`: g =
+    diag(gamma) + a n n^T and g^{-1} = diag(d) - c d d^T.  Each rank-one
+    term is skipped when its coefficient is 0."""
     gamma, a, d, c = parts
-    return np.diag(gamma) + a, np.diag(d) - c * np.outer(d, d)
+    g, g_inv = np.diag(gamma), np.diag(d)
+    if a != 0.0:
+        g += a
+    if c != 0.0:
+        g_inv -= c * np.outer(d, d)
+    return g, g_inv
 
 
 def _times_metric(m: np.ndarray, parts) -> np.ndarray:

@@ -43,6 +43,7 @@ from .flows import (
     _psi_from,
     _step_problems,
     _steps_bound,
+    _weights,
     check_normalization_generator,
     integrate_midpoint,
 )
@@ -497,7 +498,8 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> Path:
 
     Rows are formatted by format_table and written in chunks of about
     CSV_CHUNK_VALUES values, so the text of the whole table is never held
-    at once.
+    at once.  rho = |psi|^2 is formed per chunk, so `Trajectory.rho` is not
+    built for the whole table.
     """
     path = Path(path)
     n = trajectory.n
@@ -519,7 +521,7 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> Path:
             out.write(format_table(np.column_stack([
                 np.arange(start, start + psi.shape[0]),
                 trajectory.parameter_values[rows],
-                trajectory.rho[rows],
+                _weights(psi),
                 trajectory.pi[rows],
                 psi.real,
                 psi.imag,

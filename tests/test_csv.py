@@ -156,4 +156,5 @@ def test_writer_matches_per_row_formatting(n, short_final_chunk, tmp_path):
     steps = short_final_chunk_steps(n) if short_final_chunk else 1
     trajectory = integrate_midpoint(spec, X0, 1e-3, steps)
     written = write_trajectory_csv(trajectory, tmp_path / "t.csv").read_bytes()
+    assert "rho" not in vars(trajectory)  # formed per chunk, never cached for the whole table
     assert written == per_row_csv(trajectory)

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,10 +38,13 @@ from simplexflow import (
 )
 from simplexflow.diagnostics import random_hermitian, sample_interior_points
 from simplexflow.flows import (
+    BLOCK_ENTRIES,
     MAX_TRAJECTORY_ENTRIES,
     MIDPOINT_MAX_SWEEPS,
     MIDPOINT_TOL,
+    PHASE_FLOOR,
     _chart_jacobian,
+    _continuous_phase,
     _eval_complex,
     _field_jacobian,
 )
@@ -448,6 +454,22 @@ class TestIntegrateMidpoint:
             integrate_midpoint(HamiltonianSpec(kernel=np.eye(2)), X0, 1e-3, 10**15)
         assert MAX_TRAJECTORY_ENTRIES == 2**25
 
+    @pytest.mark.parametrize("nonlinear", ["none", "quartic_psi"])
+    def test_an_integration_peaks_below_two_and_a_half_state_arrays(self, nonlinear, rng):
+        # psi overwrites the eigenbasis buffer and goes to the trajectory uncopied,
+        # so an integration holds psi, the momenta and blocks of temporaries.
+        n, steps = 128, 2000
+        spec = HamiltonianSpec(kernel=random_hermitian(n, rng) / n, nonlinear=nonlinear, nonlinear_strength=0.1)
+        X0 = sample_interior_points(n, 1, rng=rng, include_barycenter=False)[0]
+        integrate_midpoint(spec, X0, 1e-3, 4)  # the spec's cached eigendecomposition
+        tracemalloc.start()
+        try:
+            integrate_midpoint(spec, X0, 1e-3, steps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 16 * (steps + 1) * n
+
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_step_solves_the_midpoint_equation(self, n, rng):
         # (psi1 - psi0)/h equals the real-chart field at the midpoint state,
@@ -639,6 +661,11 @@ class TestTrajectoryType:
         assert traj.sweeps.tolist() == [0] and not traj.sweeps.flags.writeable
         with pytest.raises(DimensionError):
             Trajectory(np.array([0.0, 0.1]), psi, pi, np.zeros(2), np.zeros(2), sweeps=[1, 1])
+        with pytest.raises(DimensionError, match="sweeps must be a 1-d array"):
+            Trajectory(np.array([0.0, 0.1]), psi, pi, np.zeros(2), np.zeros(2), sweeps=[[1]])
+        for bad in ([1.7], [-3]):
+            with pytest.raises(ValueError, match="sweeps must be nonnegative integers"):
+                Trajectory(np.array([0.0, 0.1]), psi, pi, np.zeros(2), np.zeros(2), sweeps=bad)
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 0.0]), psi, pi, np.zeros(2), np.zeros(2))
         with pytest.raises(DimensionError):
@@ -654,6 +681,39 @@ class TestTrajectoryType:
             with pytest.raises(ValueError, match="pi has non-finite entries"):
                 Trajectory(np.array([0.0, 0.1]), psi, np.where([[True, False]] * 2, pi, bad),
                            np.zeros(2), np.zeros(2))
+
+    def test_a_callers_arrays_are_copied(self):
+        fields = [np.array([0.0, 0.1]), np.full((2, 2), INV_SQRT2, dtype=complex), np.zeros((2, 2)),
+                  np.zeros(2), np.zeros(2), np.array([3])]
+        traj = Trajectory(*fields)
+        before = [value.copy() for value in fields]
+        for value in fields:
+            value += 1
+        for field, value in zip(dataclasses.fields(Trajectory), before):
+            assert np.array_equal(getattr(traj, field.name), value), field.name
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_blockwise_momenta_equal_the_whole_array_formula(self, n, rng):
+        def whole_array(psi, pi0):
+            """The momenta formula applied to all rows at once."""
+            phase = np.angle(psi)
+            phase[0] = pi0
+            rows = np.where(np.abs(psi) >= PHASE_FLOOR, np.arange(psi.shape[0])[:, None], 0)
+            np.maximum.accumulate(rows, axis=0, out=rows)
+            return np.unwrap(np.take_along_axis(phase, rows, axis=0), axis=0)
+
+        block = BLOCK_ENTRIES // n
+        for m in (block - 1, block, block + 1, 3 * block + 1):
+            psi = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+            # Phases that differ by exactly pi, from both sides.
+            psi[:, 0] = np.where(np.arange(m) % 3 == 0, 1.0, complex(-1.0, -0.0))
+            # Runs below the floor across each block edge, from row 0, and to the last row.
+            for edge in range(block, m, block):
+                psi[edge - 3:edge + 2, 1] *= 1e-16
+            psi[:5, 2] = 0.0
+            psi[m - 4:, n - 1] *= 1e-17
+            pi0 = rng.uniform(-7.0, 7.0, n)
+            assert _continuous_phase(psi, pi0).tobytes() == whole_array(psi, pi0).tobytes(), m
 
     def test_momenta_continuous_and_held_at_zero_amplitude(self):
         # Under sigma_z psi_2 stays exactly 0, so pi_2 keeps its initial

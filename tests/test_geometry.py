@@ -137,6 +137,15 @@ class TestPhaseSpaceMetric:
 
 
 class TestMetricProducts:
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_blocks_equal_the_dense_formula(self, n, rng):
+        # Skipping a zero rank-one term leaves every bit: x + 0.0 = x and x - 0.0 = x.
+        for X in sample_interior_points(n, 2, rng=rng):
+            for params in DEFAULT_PARAM_FAMILIES:
+                gamma, a, d, c = parts = _metric_parts(X.rho, params)
+                for block, dense in zip(_metric_blocks(parts), (np.diag(gamma) + a, np.diag(d) - c * np.outer(d, d))):
+                    assert block.tobytes() == dense.tobytes(), params
+
     @pytest.mark.parametrize("n", [2, 8, 128])
     def test_products_match_the_dense_products(self, n, rng):
         # Bit-equal under the diagonal canonical metric, where every dense
