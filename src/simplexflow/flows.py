@@ -62,12 +62,16 @@ NONLINEAR_TAGS = ("none", "sum_rho_squared", "quartic_psi")
 #: has 64,128 entries.
 MAX_TRAJECTORY_ENTRIES = 2**25
 
-#: State entries per block of the pass that turns the integrated eigenbasis
-#: rows into psi, their defects and momenta.  A block has
-#: max(2, BLOCK_ENTRIES // n) rows, so each of its complex temporaries takes
-#: at most 64 KiB, under glibc's 128 KiB mmap threshold.  A block never has
-#: one row: a one-row product takes the matrix-vector path, whose rounding
-#: differs from that of the same row in a matrix product.
+#: Entries per block of rows in each pass over stacked rows, which walks
+#: `_row_blocks(m, width)`: the integrator's pass that turns its eigenbasis
+#: rows into psi, their defects and momenta (width n, so each complex
+#: temporary takes at most 64 KiB, under glibc's 128 KiB mmap threshold),
+#: `scenario.write_trajectory_csv` (width 4 n + 4, the values of one CSV row,
+#: so the formatter's byte work arrays, 29 bytes a value, stay under 128 KiB)
+#: and `scenario._bracket_commutator` (width 2 n a pair, so the 8 n normals
+#: of its pairs take 128 KiB); each bound holds up to width BLOCK_ENTRIES / 2.
+#: A block never has one row: a one-row product takes the matrix-vector path,
+#: whose rounding differs from that of the same row in a matrix product.
 BLOCK_ENTRIES = 4096
 
 #: Fixed-point update at which the nonlinear midpoint solve stops, and the
@@ -281,8 +285,8 @@ class Trajectory:
     phase increment of psi to the previous row, and a component with
     |psi_i| < PHASE_FLOOR keeps its last value.  ``sweeps`` counts the
     fixed-point sweeps of each step (zeros when omitted, and for affine steps).
-    The arrays are copied into write-protected ones, so a caller's later
-    writes do not reach the trajectory.
+    A caller's arrays are validated and copied into write-protected ones, so
+    its later writes do not reach the trajectory.
     """
 
     parameter_values: np.ndarray  # (m,)
@@ -292,7 +296,7 @@ class Trajectory:
     energy_defects: np.ndarray    # |H(X_k) - H(X_0)| per sample
     sweeps: np.ndarray | None = None  # (m - 1,) int, per step
 
-    def __post_init__(self, adopt=False):
+    def __post_init__(self):
         taus = as_vector(self.parameter_values, "parameter_values")
         psi = np.asarray(self.psi, dtype=complex)
         pi = np.asarray(self.pi, dtype=float)
@@ -313,19 +317,18 @@ class Trajectory:
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{name} has non-finite entries")
         object.__setattr__(self, "parameter_values", readonly(taus))
-        object.__setattr__(self, "psi", psi if adopt else readonly(psi, dtype=complex))
-        object.__setattr__(self, "pi", pi if adopt else readonly(pi))
+        object.__setattr__(self, "psi", readonly(psi, dtype=complex))
+        object.__setattr__(self, "pi", readonly(pi))
         object.__setattr__(self, "norm_defects", readonly(norms))
         object.__setattr__(self, "energy_defects", readonly(energies))
         object.__setattr__(self, "sweeps", readonly(sweeps, dtype=int))
 
     @classmethod
     def _adopt(cls, **fields) -> "Trajectory":
-        """The trajectory of the integrator's own write-protected psi and pi, which no
-        caller holds, kept uncopied; every field is validated as usual and the others copied."""
+        """The trajectory of arrays that `integrate_midpoint` built to shape, found finite
+        and write-protected, and that no caller holds: kept as they are, unchecked and uncopied."""
         trajectory = cls.__new__(cls)
         trajectory.__dict__.update(fields)
-        trajectory.__post_init__(adopt=True)
         return trajectory
 
     def __len__(self) -> int:
@@ -344,7 +347,7 @@ class Trajectory:
 
     def point(self, k: int) -> PhasePoint:
         """Sample k as a phase-space point."""
-        return PhasePoint(self.rho[k], self.pi[k])
+        return PhasePoint(_weights(self.psi[k]), self.pi[k])
 
 
 def _psi_from(rho: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -643,23 +646,17 @@ def integrate_midpoint(spec: HamiltonianSpec, X0: PhasePoint, h: float, steps: i
     finite = np.isfinite(norm_defects) & np.isfinite(energy_defects)
     if not finite.all():
         raise NonFiniteError(f"midpoint state is not finite at step {int(np.argmin(finite))}")
-    pi = _continuous_phase(psi, X0.pi)
-    psi.setflags(write=False)
-    pi.setflags(write=False)
-    return Trajectory._adopt(
-        parameter_values=np.arange(steps + 1) * h,
-        psi=psi,
-        pi=pi,
-        norm_defects=norm_defects,
-        energy_defects=energy_defects,
-        sweeps=sweeps,
-    )
+    fields = dict(parameter_values=np.arange(steps + 1) * float(h), psi=psi, pi=_continuous_phase(psi, X0.pi),
+                  norm_defects=norm_defects, energy_defects=energy_defects, sweeps=sweeps)
+    for values in fields.values():
+        values.setflags(write=False)
+    return Trajectory._adopt(**fields)
 
 
-def _row_blocks(m: int, n: int) -> list[slice]:
-    """The rows of an m x n state array in blocks of max(2, BLOCK_ENTRIES // n)
-    rows; a one-row tail joins the block before it."""
-    starts = list(range(0, m, max(2, BLOCK_ENTRIES // n)))
+def _row_blocks(m: int, width: int) -> list[slice]:
+    """The rows of m stacked rows of ``width`` entries in blocks of
+    max(2, BLOCK_ENTRIES // width) rows; a one-row tail joins the block before it."""
+    starts = list(range(0, m, max(2, BLOCK_ENTRIES // width)))
     if len(starts) > 1 and m - starts[-1] == 1:
         starts.pop()
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [m])]

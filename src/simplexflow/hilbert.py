@@ -105,16 +105,16 @@ def commutator_identity_check(u_psi, v_psi, psi):
     """Both sides of {U~, V~} = -i <psi|[U, V]|psi> at psi for Hermitian U
     and V, given as their images ``u_psi`` = U psi and ``v_psi`` = V psi.
 
-    ``psi`` is a ComplexState or complex rows (..., n), one state per row,
-    and the images are rows of the same shape; the sides are arrays over the
-    leading axes, floats for a single state.  The left side is the (rho, pi)
+    ``psi`` holds complex rows (..., n), one state per row, and the images
+    are rows of the same shape; the sides are arrays over the leading axes,
+    floats for a single n-vector state.  The left side is the (rho, pi)
     Poisson bracket of U~ = <psi|U|psi> and V~ from the chart gradients of
     q = conj(psi) U psi, with rho = |psi|^2.  The right side is real because
     [U, V] is anti-Hermitian: with z = <U psi|V psi> it is
     -i (z - conj(z)) = 2 Im z.  The two agree identically, so the difference
     is pure rounding.  Requires the interior.
     """
-    psi = as_rows(psi.psi if isinstance(psi, ComplexState) else psi, "psi", dtype=complex)
+    psi = as_rows(psi, "psi", dtype=complex)
     u_psi = as_rows(u_psi, "u_psi", psi.shape, dtype=complex)
     v_psi = as_rows(v_psi, "v_psi", psi.shape, dtype=complex)
     rho = _weights(psi)

@@ -41,6 +41,7 @@ from .flows import (
     _eval_complex,
     _is_number,
     _psi_from,
+    _row_blocks,
     _step_problems,
     _steps_bound,
     _weights,
@@ -88,17 +89,6 @@ UNITARY_NORM_TOL = 1e-13
 
 #: Largest |sum(rho) - 1| accepted in a configured initial state.
 INITIAL_NORM_TOL = 1e-9
-
-#: Trajectory values formatted per write (whole rows, at least one).  It
-#: bounds the CSV text held in memory and keeps each of the formatter's byte
-#: work arrays (29 bytes per value) under 128 KiB.
-CSV_CHUNK_VALUES = 4096
-
-#: State entries per block of `bracket_commutator` pairs (whole pairs, at
-#: least one).  A block is evaluated as stacked rows, and its largest work
-#: array holds eight normals per entry: 128 KiB, or one pair's 64 n bytes
-#: where n > 2048.
-BRACKET_BLOCK_VALUES = 2048
 
 DEFAULT_CONVERGENCE_H = (4e-3, 2e-3, 1e-3, 5e-4)
 DEFAULT_CONVERGENCE_TAU = 1.0
@@ -496,9 +486,9 @@ def validate_config(path) -> ScenarioConfig:
 def write_trajectory_csv(trajectory: Trajectory, path) -> Path:
     """Round-trip-safe CSV: each value as C's '%.17g' writes it.
 
-    Rows are formatted by format_table and written in chunks of about
-    CSV_CHUNK_VALUES values, so the text of the whole table is never held
-    at once.  rho = |psi|^2 is formed per chunk, so `Trajectory.rho` is not
+    Rows are formatted by format_table and written in the blocks of
+    `flows._row_blocks`, so the text of the whole table is never held at
+    once.  rho = |psi|^2 is formed per block, so `Trajectory.rho` is not
     built for the whole table.
     """
     path = Path(path)
@@ -511,15 +501,13 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> Path:
         + [f"im_psi_{i + 1}" for i in range(n)]
         + ["norm_defect", "energy_defect"]
     )
-    chunk = max(1, CSV_CHUNK_VALUES // len(header))
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("wb") as out:
         out.write((",".join(header) + "\n").encode())
-        for start in range(0, len(trajectory), chunk):
-            rows = slice(start, start + chunk)
+        for rows in _row_blocks(len(trajectory), len(header)):
             psi = trajectory.psi[rows]
             out.write(format_table(np.column_stack([
-                np.arange(start, start + psi.shape[0]),
+                np.arange(rows.start, rows.stop),
                 trajectory.parameter_values[rows],
                 _weights(psi),
                 trajectory.pi[rows],
@@ -619,14 +607,13 @@ def _rank_two_image(psi: np.ndarray, normals: np.ndarray) -> np.ndarray:
 
 def _bracket_commutator(config, trajectory, extras):
     # Each pair draws its state, then the parts of a and b for U and for V;
-    # a block of pairs is then evaluated as rows.  The residual is relative
-    # to |U psi| |V psi|, so the row does not drift with n or scale.
+    # a block of pairs, 2 n entries each, is then evaluated as rows.  The residual
+    # is relative to |U psi| |V psi|, so the row does not drift with n or scale.
     n, pairs = config.n, 50
     rng = _check_rng(config, "bracket_commutator")
-    block = max(1, BRACKET_BLOCK_VALUES // n)
     worst = 0.0
-    for start in range(0, pairs, block):
-        m = min(block, pairs - start)
+    for rows in _row_blocks(pairs, 2 * n):
+        m = rows.stop - rows.start
         rho, pi, normals = np.empty((m, n)), np.empty((m, n)), np.empty((m, 8, n))
         for k in range(m):
             rho[k], pi[k] = _interior_draw(n, rng)

@@ -133,10 +133,10 @@ def test_06_bracket_commutator_identity():
         U = random_hermitian(n, rng)
         V = random_hermitian(n, rng)
         psi = to_complex(sample_interior_points(n, 1, rng=rng, include_barycenter=False)[0])
-        lhs, rhs = commutator_identity_check(U @ psi.psi, V @ psi.psi, psi)
+        lhs, rhs = commutator_identity_check(U @ psi.psi, V @ psi.psi, psi.psi)
         worst = max(worst, abs(lhs - rhs))
     fixture = ComplexState([1 / math.sqrt(2), 1j / math.sqrt(2)])
-    lhs, rhs = commutator_identity_check(SIGMA_X @ fixture.psi, np.diag([1.0, -1.0]) @ fixture.psi, fixture)
+    lhs, rhs = commutator_identity_check(SIGMA_X @ fixture.psi, np.diag([1.0, -1.0]) @ fixture.psi, fixture.psi)
     ok = worst <= 1e-12 and abs(lhs + 2.0) <= 1e-12 and abs(rhs + 2.0) <= 1e-12
     report(6, "Poisson bracket equals commutator expectation", ok,
            f"max |lhs - rhs| {worst:.3e} <= 1e-12 over 50 triples; pauli fixture {lhs:.12f} = -2")

@@ -12,7 +12,7 @@ from simplexflow import HamiltonianSpec, integrate_midpoint, write_trajectory_cs
 from simplexflow.diagnostics import random_hermitian, sample_interior_points
 from simplexflow import _csvformat
 from simplexflow._csvformat import format_table
-from simplexflow.scenario import CSV_CHUNK_VALUES
+from simplexflow.flows import BLOCK_ENTRIES, _row_blocks
 
 
 def percent_g(table: np.ndarray) -> bytes:
@@ -142,19 +142,20 @@ def per_row_csv(trajectory) -> bytes:
     return "".join(lines).encode()
 
 
-def short_final_chunk_steps(n: int) -> int:
-    """Steps giving two full chunks of rows and a final chunk of three."""
-    return 2 * (CSV_CHUNK_VALUES // (4 * n + 4)) + 2
-
-
-@pytest.mark.parametrize("n", [2, 8, 128])
-@pytest.mark.parametrize("short_final_chunk", [False, True])
-def test_writer_matches_per_row_formatting(n, short_final_chunk, tmp_path):
+# n = 600 has more than BLOCK_ENTRIES / 2 values a row, so a block holds 2 rows.
+@pytest.mark.parametrize("n", [2, 8, 128, 600])
+@pytest.mark.parametrize("final_rows", [None, 3, 1])
+def test_writer_matches_per_row_formatting(n, final_rows, tmp_path):
+    # final_rows None is one step; otherwise two full blocks and final_rows
+    # more rows, of which a single one joins the block before it.
     rng = np.random.default_rng([20261018, n])
     spec = HamiltonianSpec(kernel=random_hermitian(n, rng), nonlinear="quartic_psi", nonlinear_strength=0.3)
     X0 = sample_interior_points(n, 1, rng=rng)[0]
-    steps = short_final_chunk_steps(n) if short_final_chunk else 1
+    block = max(2, BLOCK_ENTRIES // (4 * n + 4))  # rows in a full block; a CSV row holds 4 n + 4 values
+    steps = 1 if final_rows is None else 2 * block + final_rows - 1
     trajectory = integrate_midpoint(spec, X0, 1e-3, steps)
+    heights = [rows.stop - rows.start for rows in _row_blocks(len(trajectory), 4 * n + 4)]
+    assert heights == {None: [2], 3: [block, block, 3], 1: [block, block + 1]}[final_rows]
     written = write_trajectory_csv(trajectory, tmp_path / "t.csv").read_bytes()
-    assert "rho" not in vars(trajectory)  # formed per chunk, never cached for the whole table
+    assert "rho" not in vars(trajectory)  # formed per block, never cached for the whole table
     assert written == per_row_csv(trajectory)

@@ -454,6 +454,22 @@ class TestIntegrateMidpoint:
             integrate_midpoint(HamiltonianSpec(kernel=np.eye(2)), X0, 1e-3, 10**15)
         assert MAX_TRAJECTORY_ENTRIES == 2**25
 
+    @pytest.mark.parametrize("h", [1e-3, 1, np.float32(0.25)])
+    def test_the_integrator_hands_over_write_protected_arrays_of_its_own(self, h, rng):
+        # The trajectory keeps the integrator's arrays unchecked, so they must
+        # have the types and shapes that a caller's arrays are validated to.
+        n, steps = 3, 6
+        spec = HamiltonianSpec(kernel=random_hermitian(n, rng), nonlinear="quartic_psi", nonlinear_strength=0.1)
+        X0 = sample_interior_points(n, 1, rng=rng, include_barycenter=False)[0]
+        traj = integrate_midpoint(spec, X0, h, steps)
+        checked = Trajectory(*(getattr(traj, field.name) for field in dataclasses.fields(Trajectory)))
+        for field in dataclasses.fields(Trajectory):
+            value, copy = getattr(traj, field.name), getattr(checked, field.name)
+            assert not value.flags.writeable, field.name
+            assert value.dtype == copy.dtype and value.shape == copy.shape, field.name
+            assert value.tobytes() == copy.tobytes(), field.name
+        assert traj.parameter_values.tolist() == [k * float(h) for k in range(steps + 1)]
+
     @pytest.mark.parametrize("nonlinear", ["none", "quartic_psi"])
     def test_an_integration_peaks_below_two_and_a_half_state_arrays(self, nonlinear, rng):
         # psi overwrites the eigenbasis buffer and goes to the trajectory uncopied,
@@ -681,6 +697,14 @@ class TestTrajectoryType:
             with pytest.raises(ValueError, match="pi has non-finite entries"):
                 Trajectory(np.array([0.0, 0.1]), psi, np.where([[True, False]] * 2, pi, bad),
                            np.zeros(2), np.zeros(2))
+
+    def test_one_sample_does_not_build_rho_for_every_row(self):
+        X0 = PhasePoint([0.1, 0.2, 0.3, 0.4], [0.5, 1.0, 1.5, 2.0])
+        traj = integrate_midpoint(HamiltonianSpec(kernel=np.eye(4)), X0, 1e-3, 1000)
+        point = traj.point(-1)
+        assert "rho" not in vars(traj)
+        assert point.rho.tobytes() == traj.rho[-1].tobytes()
+        assert point.pi.tobytes() == traj.pi[-1].tobytes()
 
     def test_a_callers_arrays_are_copied(self):
         fields = [np.array([0.0, 0.1]), np.full((2, 2), INV_SQRT2, dtype=complex), np.zeros((2, 2)),

@@ -197,14 +197,14 @@ class TestPropagateUnitary:
 class TestCommutatorIdentity:
     def test_pauli_fixture(self):
         psi = ComplexState([INV_SQRT2, INV_SQRT2 * 1j])
-        lhs, rhs = commutator_identity_check(SIGMA_X @ psi.psi, SIGMA_Z @ psi.psi, psi)
+        lhs, rhs = commutator_identity_check(SIGMA_X @ psi.psi, SIGMA_Z @ psi.psi, psi.psi)
         assert_allclose(lhs, -2.0, atol=1e-12)
         assert_allclose(rhs, -2.0, atol=1e-12)
 
     def test_self_commutator(self, rng):
         U = random_hermitian(3, rng)
         psi = to_complex(sample_interior_points(3, 1, rng=rng)[1])
-        lhs, rhs = commutator_identity_check(U @ psi.psi, U @ psi.psi, psi)
+        lhs, rhs = commutator_identity_check(U @ psi.psi, U @ psi.psi, psi.psi)
         assert lhs == 0.0
         assert abs(rhs) <= 1e-15
 
@@ -212,7 +212,7 @@ class TestCommutatorIdentity:
         U = np.diag([0.3, -1.0, 2.0])
         V = np.diag([1.1, 0.2, -0.4])
         psi = to_complex(sample_interior_points(3, 1, rng=rng)[1])
-        lhs, rhs = commutator_identity_check(U @ psi.psi, V @ psi.psi, psi)
+        lhs, rhs = commutator_identity_check(U @ psi.psi, V @ psi.psi, psi.psi)
         assert abs(lhs) <= 1e-14
         assert abs(rhs) <= 1e-14
 
@@ -221,7 +221,7 @@ class TestCommutatorIdentity:
             U = random_hermitian(4, rng)
             V = random_hermitian(4, rng)
             psi = to_complex(sample_interior_points(4, 1, rng=rng, include_barycenter=False)[0])
-            lhs, rhs = commutator_identity_check(U @ psi.psi, V @ psi.psi, psi)
+            lhs, rhs = commutator_identity_check(U @ psi.psi, V @ psi.psi, psi.psi)
             assert abs(lhs - rhs) <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 8, 32, 128])
@@ -231,16 +231,16 @@ class TestCommutatorIdentity:
             U = random_hermitian(n, rng)
             V = random_hermitian(n, rng)
             psi = to_complex(sample_interior_points(n, 1, rng=rng, include_barycenter=False)[0])
-            _, rhs = commutator_identity_check(U @ psi.psi, V @ psi.psi, psi)
+            _, rhs = commutator_identity_check(U @ psi.psi, V @ psi.psi, psi.psi)
             dense = (-1j * np.vdot(psi.psi, (U @ V - V @ U) @ psi.psi)).real
             assert abs(rhs - dense) <= 1e-12, n
 
     def test_rejects_images_of_another_length(self):
         psi = ComplexState([INV_SQRT2, INV_SQRT2 * 1j])
         with pytest.raises(DimensionError):
-            commutator_identity_check(SIGMA_X @ psi.psi, np.ones(3), psi)
+            commutator_identity_check(SIGMA_X @ psi.psi, np.ones(3), psi.psi)
         with pytest.raises(DimensionError):
-            commutator_identity_check(np.ones(1), SIGMA_Z @ psi.psi, psi)
+            commutator_identity_check(np.ones(1), SIGMA_Z @ psi.psi, psi.psi)
 
     def test_rejects_rows_of_another_shape_and_non_finite_states(self):
         psi = np.array([[INV_SQRT2, INV_SQRT2 * 1j], [INV_SQRT2, -INV_SQRT2]])
@@ -255,7 +255,7 @@ class TestCommutatorIdentity:
     def test_refuses_a_boundary_state(self):
         psi = ComplexState([1.0, 0.0])
         with pytest.raises(BoundaryError):
-            commutator_identity_check(SIGMA_X @ psi.psi, SIGMA_Z @ psi.psi, psi)
+            commutator_identity_check(SIGMA_X @ psi.psi, SIGMA_Z @ psi.psi, psi.psi)
 
 
 class TestBornRuleAndGauge:

@@ -413,7 +413,7 @@ class TestRunScenario:
         cfg = config_from_dict(qubit_config(checks=[], integrator={"h": 1e-3, "steps": 150}))
         trajectory = integrate_midpoint(cfg.hamiltonian, cfg.initial, cfg.h, cfg.steps)
         lines = write_trajectory_csv(trajectory, tmp_path / "t.csv").read_text().splitlines()
-        assert len(lines) == 152  # the header and 151 rows, in one chunk of CSV_CHUNK_VALUES
+        assert len(lines) == 152  # the header and 151 rows, in one block of flows._row_blocks
         for k, line in enumerate(lines[1:]):
             values = [
                 trajectory.parameter_values[k], *trajectory.rho[k], *trajectory.pi[k],
@@ -560,7 +560,7 @@ class TestCheckRegistry:
 
     def test_readme_quotes_the_block_and_margin_constants(self):
         text = README.read_text(encoding="utf-8")
-        assert f"`BRACKET_BLOCK_VALUES` = {scenario.BRACKET_BLOCK_VALUES} state entries" in text
+        assert f"`BLOCK_ENTRIES` = {flows.BLOCK_ENTRIES} state entries" in text
         assert f"`SAMPLE_MARGIN` = {SAMPLE_MARGIN}," in text
 
     def test_readme_example_rows_are_unchanged(self, tmp_path):
@@ -603,7 +603,9 @@ class TestCheckRegistry:
             rows = check.residuals(cfg.with_seed(seed), None, {})
             assert rows["fs_consistency.constant"] > 0.5, (seed, rows)
 
-    @pytest.mark.parametrize("n", [2, 8, 32, 128, 4096])
+    # n = 41 has a 49-pair block and a one-pair tail, which joins it; n = 1025
+    # has two pairs a block.
+    @pytest.mark.parametrize("n", [2, 8, 32, 41, 128, 1025, 4096])
     def test_bracket_commutator_passes_at_every_n_from_one_draw_per_pair(self, n, monkeypatch):
         # The check reads only n and the seed, so one small config serves every n.
         check = CHECKS["bracket_commutator"]
@@ -675,7 +677,7 @@ class TestCheckRegistry:
         lhs, rhs = commutator_identity_check(u_psi, v_psi, psi)
         assert lhs.shape == rhs.shape == (6,)
         for k, state in enumerate(states):
-            single = commutator_identity_check(u_psi[k], v_psi[k], state)
+            single = commutator_identity_check(u_psi[k], v_psi[k], state.psi)
             assert all(isinstance(side, float) for side in single)
             scale = np.linalg.norm(u_psi[k]) * np.linalg.norm(v_psi[k])
             assert abs(lhs[k] - single[0]) <= 1e-15 * scale and abs(rhs[k] - single[1]) <= 1e-15 * scale
